@@ -44,7 +44,7 @@ def _parse_box(text: str) -> tuple[float, ...]:
 
 
 def _write_report(doc: dict, path: str) -> None:
-    text = json.dumps(doc, indent=2) + "\n"
+    text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
     if path == "-":
         sys.stdout.write(text)
     else:

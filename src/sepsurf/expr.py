@@ -16,7 +16,14 @@ Grammar (whitespace insignificant)::
 
 ``ident`` is the declared variable or one of sin, cos, sinh, cosh, tanh,
 exp, log, sqrt, abs.  Numbers are decimal literals with an optional
-exponent.
+exponent.  Parentheses, calls, unary minus and ``^`` chains nest at most
+``MAX_NESTING`` deep together; deeper input is a ParseError.
+
+Evaluation has one implementation, the array evaluator ``eval_array``.
+The scalar calls (``evaluate``, ``Func1D.value``, ``jet3`` and
+``deriv_value``) are one-row views of it that raise EvalDomainError where
+the row comes back NaN.  numpy's elementary functions may differ from the
+``math`` module's by an ulp.
 """
 
 from __future__ import annotations
@@ -39,6 +46,7 @@ __all__ = [
     "ExprError",
     "ParseError",
     "EvalDomainError",
+    "MAX_NESTING",
     "parse_expr",
     "print_expr",
     "differentiate",
@@ -125,12 +133,23 @@ def _tokenize(src: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+# bounds the parser's recursion and the nesting depth of the tree; the
+# derivative trees of nested calls and powers grow fast with that depth
+MAX_NESTING = 32
+
+
 class _Parser:
     def __init__(self, src: str, var_name: str):
         self.src = src
         self.var = var_name
         self.tokens = _tokenize(src)
         self.i = 0
+        self.depth = 0
+
+    def nest(self, off: int) -> None:
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING}", off)
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.i]
@@ -162,15 +181,18 @@ class _Parser:
 
     def unary(self) -> Ast:
         if self.peek()[:2] == ("op", "-"):
-            self.next()
-            return Unary("neg", self.unary())
+            self.nest(self.next()[2])
+            node = Unary("neg", self.unary())
+            self.depth -= 1
+            return node
         return self.power()
 
     def power(self) -> Ast:
         node = self.atom()
         if self.peek()[:2] == ("op", "^"):
-            self.next()
+            self.nest(self.next()[2])
             node = Binary("pow", node, self.unary())
+            self.depth -= 1
         return node
 
     def atom(self) -> Ast:
@@ -182,20 +204,23 @@ class _Parser:
                 k2, v2, o2 = self.peek()
                 if (k2, v2) != ("op", "("):
                     raise ParseError(f"function {val!r} needs an argument list", o2)
-                self.next()
+                self.nest(self.next()[2])
                 arg = self.expression()
                 k3, v3, o3 = self.peek()
                 if (k3, v3) != ("op", ")"):
                     # a ',' here would be an arity mismatch: every function is unary
                     raise ParseError(f"expected ')' closing {val!r}", o3)
                 self.next()
+                self.depth -= 1
                 return Unary(val, arg)
             if val == self.var:
                 return Var(self.var)
             raise ParseError(f"unknown identifier {val!r}", off)
         if (kind, val) == ("op", "("):
+            self.nest(off)
             node = self.expression()
             self.expect_op(")")
+            self.depth -= 1
             return node
         raise ParseError("expected a number, identifier or '('", off)
 
@@ -217,65 +242,20 @@ def parse_expr(src: str, var_name: str = "x") -> Ast:
 # -- evaluation ---------------------------------------------------------------
 
 
-def _pow_scalar(base: float, expo: float) -> float:
-    if expo == int(expo):
-        n = int(expo)
-        if base == 0.0 and n < 0:
-            raise EvalDomainError("zero base with negative integer exponent")
-        return base ** n
-    if base <= 0.0:
-        raise EvalDomainError(
-            f"negative or zero base {base!r} with non-integer exponent {expo!r}"
-        )
-    return base ** expo
-
-
 def evaluate(node: Ast, x: float) -> float:
-    """Strict scalar evaluation; raises EvalDomainError outside the real domain."""
-    try:
-        v = _eval_scalar(node, float(x))
-    except (OverflowError, ZeroDivisionError, ValueError) as exc:
-        raise EvalDomainError(str(exc)) from exc
-    if not math.isfinite(v):
-        raise EvalDomainError(f"non-finite value {v!r}")
+    """Strict scalar evaluation: ``eval_array`` on one element.
+
+    Raises EvalDomainError where that element comes back NaN (outside the
+    real domain, or not finite).
+    """
+    return _one(eval_array(node, np.array([float(x)])), x)
+
+
+def _one(col: np.ndarray, x: float) -> float:
+    v = float(col[0])
+    if math.isnan(v):
+        raise EvalDomainError(f"undefined or non-finite at {x!r}")
     return v
-
-
-def _eval_scalar(node: Ast, x: float) -> float:
-    if isinstance(node, Const):
-        return node.value
-    if isinstance(node, Var):
-        return x
-    if isinstance(node, Unary):
-        a = _eval_scalar(node.arg, x)
-        op = node.op
-        if op == "neg":
-            return -a
-        if op == "log":
-            if a <= 0.0:
-                raise EvalDomainError(f"log of non-positive {a!r}")
-            return math.log(a)
-        if op == "sqrt":
-            if a <= 0.0:
-                raise EvalDomainError(f"sqrt of non-positive {a!r}")
-            return math.sqrt(a)
-        if op == "abs":
-            return abs(a)
-        return getattr(math, op)(a)
-    a = _eval_scalar(node.lhs, x)
-    b = _eval_scalar(node.rhs, x)
-    op = node.op
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        if b == 0.0:
-            raise EvalDomainError("division by zero")
-        return a / b
-    return _pow_scalar(a, b)
 
 
 def eval_array(node: Ast, xs: np.ndarray) -> np.ndarray:
@@ -322,7 +302,7 @@ def _eval_vec(node: Ast, xs: np.ndarray) -> np.ndarray:
     if op == "div":
         return np.where(b != 0.0, a / np.where(b != 0.0, b, 1.0), np.nan)
     # pow: numpy keeps the sign for integral exponents on negative bases
-    # and yields nan for fractional ones, matching the scalar rules
+    # and yields nan for fractional ones
     return np.power(a, b)
 
 
@@ -590,18 +570,13 @@ class Func1D:
 
     def value(self, x: float) -> float:
         self._check(x)
-        return evaluate(self.ast, x)
+        return _one(self.value_array(np.array([float(x)])), x)
 
     __call__ = value
 
     def jet3(self, x: float) -> Jet3:
         self._check(x)
-        return Jet3(
-            evaluate(self.ast, x),
-            evaluate(self._d1, x),
-            evaluate(self._d2, x),
-            evaluate(self._d3, x),
-        )
+        return Jet3(*(_one(col, x) for col in self.jet3_array(np.array([float(x)]))))
 
     def value_array(self, xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
@@ -624,8 +599,7 @@ class Func1D:
 
     def deriv_value(self, x: float, order: int = 1) -> float:
         self._check(x)
-        tree = (self.ast, self._d1, self._d2, self._d3)[order]
-        return evaluate(tree, x)
+        return _one(self.jet3_array(np.array([float(x)]))[order], x)
 
 
 def eval_jet3(f: Func1D, x: float) -> Jet3:

@@ -13,6 +13,11 @@ Curvature comes in two independently computed flavors:
 slope X = f'^2 becomes a function of its own level value u = f(x); the
 per-axis constant kappa = (X/X')' = 1 - f' f''' / (2 f''^2) labels the
 flat branches downstream.
+
+Each formula has one implementation, on jet columns or on (N, 3) gradients
+and (N, 3, 3) Hessians.  The scalar functions (``gauss_curvature_implicit``,
+``gauss_curvature_separable``, ``level_state``, ``k2_residual``) are
+one-row views of the batch ones.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ __all__ = [
     "k2_residual",
     "transform_jet",
     "curvature_batch",
+    "curvature_implicit_batch",
     "level_state_batch",
     "k2_residual_batch",
     "shift_level",
@@ -132,11 +138,14 @@ def implicit_jet(surface: SeparableSurface, p: Sequence[float]) -> ImplicitJet2:
     return ImplicitJet2(fj.v + gj.v + hj.v, grad, hess)
 
 
-def _cofactor_quadratic(grad: np.ndarray, hess: np.ndarray) -> float:
-    """grad^T . cofactor(hess) . grad, expanded in the six 2x2 determinants."""
-    gx, gy, gz = grad
-    hxx, hxy, hxz = hess[0, 0], hess[0, 1], hess[0, 2]
-    hyy, hyz, hzz = hess[1, 1], hess[1, 2], hess[2, 2]
+def _cofactor_quadratic(grad: np.ndarray, hess: np.ndarray) -> np.ndarray:
+    """grad^T . cofactor(hess) . grad, expanded in the six 2x2 determinants.
+
+    Takes one jet, (3,) and (3, 3), or a batch, (N, 3) and (N, 3, 3).
+    """
+    gx, gy, gz = grad[..., 0], grad[..., 1], grad[..., 2]
+    hxx, hxy, hxz = hess[..., 0, 0], hess[..., 0, 1], hess[..., 0, 2]
+    hyy, hyz, hzz = hess[..., 1, 1], hess[..., 1, 2], hess[..., 2, 2]
     return (
         gx * gx * (hyy * hzz - hyz * hyz)
         + gy * gy * (hxx * hzz - hxz * hxz)
@@ -147,35 +156,45 @@ def _cofactor_quadratic(grad: np.ndarray, hess: np.ndarray) -> float:
     )
 
 
+def curvature_implicit_batch(grad: np.ndarray, hess: np.ndarray,
+                             eps: float = REGULARITY_EPS) -> np.ndarray:
+    """K from (N, 3) gradients and (N, 3, 3) Hessians; NaN where singular."""
+    grad = np.asarray(grad, dtype=float)
+    g2 = np.sum(grad * grad, axis=-1)
+    with np.errstate(all="ignore"):
+        K = _cofactor_quadratic(grad, np.asarray(hess, dtype=float)) / (g2 * g2)
+        return np.where(np.sqrt(g2) > eps, K, np.nan)
+
+
 def gauss_curvature_implicit(jet: ImplicitJet2, eps: float = REGULARITY_EPS) -> float:
     """K of the level set from an arbitrary implicit jet.
 
     Even in the gradient, so no normal orientation is involved; homogeneous
     of degree zero under F -> lambda F.
     """
-    g2 = float(jet.grad @ jet.grad)
-    if math.sqrt(g2) <= eps:
-        raise SingularPointError(f"|grad F| = {math.sqrt(g2):.3e} <= {eps:.0e}")
-    return _cofactor_quadratic(jet.grad, jet.hess) / (g2 * g2)
+    K = float(curvature_implicit_batch(jet.grad, jet.hess, eps))
+    if math.isnan(K):
+        raise SingularPointError(
+            f"|grad F| = {float(np.linalg.norm(jet.grad)):.3e} <= {eps:.0e}")
+    return K
+
+
+def _row_jets(surface: SeparableSurface, p: Sequence[float]) -> tuple:
+    """Jet columns of the single point p; EvalDomainError where any is NaN."""
+    jets = surface.jet_arrays(np.asarray(p, dtype=float).reshape(1, 3))
+    if np.isnan(jets).any():
+        raise EvalDomainError(f"jets undefined at {tuple(p)!r}")
+    return jets
 
 
 def gauss_curvature_separable(
     surface: SeparableSurface, p: Sequence[float], eps: float = REGULARITY_EPS
 ) -> float:
     """K from the separable short form of the cofactor expansion."""
-    fj, gj, hj = surface.jets(p)
-    return _curvature_from_jets(
-        fj.d1, fj.d2, gj.d1, gj.d2, hj.d1, hj.d2, eps=eps
-    )
-
-
-def _curvature_from_jets(f1, f2, g1, g2, h1, h2, eps=REGULARITY_EPS) -> float:
-    X, Y, Z = f1 * f1, g1 * g1, h1 * h1
-    s = X + Y + Z
-    if math.sqrt(s) <= eps:
-        raise SingularPointError(f"|grad F| = {math.sqrt(s):.3e} <= {eps:.0e}")
-    num = X * g2 * h2 + Y * f2 * h2 + Z * f2 * g2
-    return num / (s * s)
+    K = float(_curvature_cols(*_row_jets(surface, p), eps)[0])
+    if math.isnan(K):
+        raise SingularPointError(f"|grad F| <= {eps:.0e} at {tuple(p)!r}")
+    return K
 
 
 @dataclass(frozen=True)
@@ -208,22 +227,12 @@ class LevelState:
         return (self.kappa_x, self.kappa_y, self.kappa_z)
 
 
-def _branch_constant(d1: float, d2: float, d3: float) -> Optional[float]:
-    if d2 == 0.0:
-        return None
-    return 1.0 - d1 * d3 / (2.0 * d2 * d2)
-
-
 def level_state(surface: SeparableSurface, p: Sequence[float]) -> LevelState:
-    fj, gj, hj = surface.jets(p)
-    return LevelState(
-        u=fj.v, v=gj.v, w=hj.v,
-        X=fj.d1 ** 2, Y=gj.d1 ** 2, Z=hj.d1 ** 2,
-        dX=2.0 * fj.d2, dY=2.0 * gj.d2, dZ=2.0 * hj.d2,
-        kappa_x=_branch_constant(fj.d1, fj.d2, fj.d3),
-        kappa_y=_branch_constant(gj.d1, gj.d2, gj.d3),
-        kappa_z=_branch_constant(hj.d1, hj.d2, hj.d3),
-    )
+    row = {k: float(col[0]) for k, col in _level_state_cols(*_row_jets(surface, p)).items()}
+    for k in ("kappa_x", "kappa_y", "kappa_z"):
+        if math.isnan(row[k]):
+            row[k] = None
+    return LevelState(**row)
 
 
 def k2_residual(state: LevelState, K: float) -> float:
@@ -231,10 +240,7 @@ def k2_residual(state: LevelState, K: float) -> float:
 
     (X dY dZ + Y dX dZ + Z dX dY - 4 K (X+Y+Z)^2) / max(1, (X+Y+Z)^2)
     """
-    s = state.X + state.Y + state.Z
-    lhs = state.X * state.dY * state.dZ + state.Y * state.dX * state.dZ \
-        + state.Z * state.dX * state.dY
-    return (lhs - 4.0 * K * s * s) / max(1.0, s * s)
+    return float(k2_residual_batch(vars(state), K))
 
 
 def transform_jet(
@@ -259,28 +265,28 @@ def transform_jet(
     return ImplicitJet2(jet.F, grad, hess)
 
 
-# -- batch variants ------------------------------------------------------------
+# -- batch kernels ------------------------------------------------------------
 #
-# Same arithmetic as the scalar operations, applied to (N,) columns; points
-# that are singular or out of domain come back as NaN and are filtered by
-# the callers.
+# The ``*_cols`` kernels take per-axis jet columns (value, d1, d2, d3);
+# points that are singular or out of domain come back as NaN and are
+# filtered by the callers.
 
 
-def curvature_batch(surface: SeparableSurface, pts: np.ndarray,
-                    eps: float = REGULARITY_EPS) -> np.ndarray:
-    fa, ga, ha = surface.jet_arrays(pts)
+def _curvature_cols(fa, ga, ha, eps: float = REGULARITY_EPS) -> np.ndarray:
     X, Y, Z = fa[1] ** 2, ga[1] ** 2, ha[1] ** 2
     s = X + Y + Z
     num = X * ga[2] * ha[2] + Y * fa[2] * ha[2] + Z * fa[2] * ga[2]
     with np.errstate(all="ignore"):
         K = num / (s * s)
-        K = np.where(np.sqrt(s) > eps, K, np.nan)
-    return K
+        return np.where(np.sqrt(s) > eps, K, np.nan)
 
 
-def level_state_batch(surface: SeparableSurface, pts: np.ndarray) -> dict:
-    """Columns of LevelState fields; kappa columns hold NaN where absent."""
-    fa, ga, ha = surface.jet_arrays(pts)
+def curvature_batch(surface: SeparableSurface, pts: np.ndarray,
+                    eps: float = REGULARITY_EPS) -> np.ndarray:
+    return _curvature_cols(*surface.jet_arrays(pts), eps)
+
+
+def _level_state_cols(fa, ga, ha) -> dict:
     out = {
         "u": fa[0], "v": ga[0], "w": ha[0],
         "X": fa[1] ** 2, "Y": ga[1] ** 2, "Z": ha[1] ** 2,
@@ -292,6 +298,11 @@ def level_state_batch(surface: SeparableSurface, pts: np.ndarray) -> dict:
             k = 1.0 - d1 * d3 / (2.0 * d2 * d2)
         out[key] = np.where(d2 != 0.0, k, np.nan)
     return out
+
+
+def level_state_batch(surface: SeparableSurface, pts: np.ndarray) -> dict:
+    """Columns of LevelState fields; kappa columns hold NaN where absent."""
+    return _level_state_cols(*surface.jet_arrays(pts))
 
 
 def k2_residual_batch(state: dict, K: np.ndarray) -> np.ndarray:

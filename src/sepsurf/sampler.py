@@ -4,8 +4,9 @@ Roots along a coordinate axis are located by a fixed scan (256 subdivisions
 of the window) followed by bisection to 1e-13 and one Newton polish; the
 same engine backs the scalar ``solve_z`` and the batched samplers, so both
 produce bit-identical roots.  Meshes come from the standard 256-case
-marching-cubes tables with vertices re-projected onto the zero set along
-their grid edge.  Everything is deterministic given the grid spec (seed
+marching-cubes tables (Lorensen & Cline 1987) with vertices re-projected
+onto the zero set along their grid edge, all vertices of a mesh in one
+batched pass.  Everything is deterministic given the grid spec (seed
 included); columns and cells are processed in a fixed order.
 """
 
@@ -19,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from ._mc_tables import CORNER_OFFSETS, CORNER_PAIRS, TRI_TABLE
-from .geometry import REGULARITY_EPS, SeparableSurface
+from .geometry import SeparableSurface, curvature_batch
 
 __all__ = [
     "GridSpec",
@@ -228,32 +229,32 @@ def sample_points(surface: SeparableSurface, grid: GridSpec,
 # -- marching cubes ---------------------------------------------------------------
 
 
-def _polish_on_edge(func, t: float, lo: float, hi: float, target: float) -> float:
-    """<=5 safeguarded Newton steps for func(t) = target on [lo, hi]."""
-    from .expr import EvalDomainError
+def _polish_on_edges(func, t: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                     flo: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """<=5 safeguarded Newton steps for func(t) = target on [lo, hi], per row.
 
-    a, b = lo, hi
-    try:
-        fa = func.value(a) - target
-    except EvalDomainError:
-        return t
+    ``flo`` is func(lo).  A row stops once its residual is within 1e-12 or
+    its jet is undefined; a Newton step leaving the bracket is replaced by
+    bisection.
+    """
+    t, a, b = t.copy(), lo.copy(), hi.copy()
+    fa = flo - target
+    rows = np.flatnonzero(np.isfinite(fa))
     for _ in range(5):
-        try:
-            j = func.jet3(t)
-        except EvalDomainError:
+        if not rows.size:
             break
-        r = j.v - target
-        if abs(r) <= 1e-12:
-            return t
-        if r * fa > 0:
-            a, fa = t, r
-        else:
-            b = t
-        if j.d1 != 0.0:
-            nt = t - r / j.d1
-            t = nt if a < nt < b else 0.5 * (a + b)
-        else:
-            t = 0.5 * (a + b)
+        jet = func.jet3_array(t[rows])
+        r = jet[0] - target[rows]
+        go = np.all(np.isfinite(jet), axis=0) & (np.abs(r) > 1e-12)
+        rows, r, d1, tr = rows[go], r[go], jet[1][go], t[rows][go]
+        right = r * fa[rows] > 0
+        a[rows] = np.where(right, tr, a[rows])
+        fa[rows] = np.where(right, r, fa[rows])
+        b[rows] = np.where(right, b[rows], tr)
+        with np.errstate(all="ignore"):
+            nt = tr - r / d1
+        inside = (d1 != 0.0) & (a[rows] < nt) & (nt < b[rows])
+        t[rows] = np.where(inside, nt, 0.5 * (a[rows] + b[rows]))
     return t
 
 
@@ -261,18 +262,19 @@ def marching_cubes(surface: SeparableSurface, grid: GridSpec) -> Mesh:
     """Triangulate the zero set inside the grid box.
 
     Cells whose corners fail to evaluate (domain edges) are skipped and
-    counted.  Edge vertices are linearly interpolated, then projected onto
-    the zero set along their grid edge; per-vertex curvature comes from the
-    implicit-jet formula (NaN where singular).
+    counted.  The per-cell pass numbers the cut-edge vertices by first
+    occurrence; all vertices are then placed at once, per axis: linear
+    interpolation on their grid edge, then a batched Newton projection onto
+    the zero set along that edge.  Per-vertex curvature comes from the
+    batched separable formula (NaN where singular).
     """
     x0, x1, y0, y1, z0, z1 = grid.box
-    xs = np.linspace(x0, x1, grid.nx + 1)
-    ys = np.linspace(y0, y1, grid.ny + 1)
-    zs = np.linspace(z0, z1, grid.nz + 1)
-    fx = surface.f.value_array(xs)
-    gy = surface.g.value_array(ys)
-    hz = surface.h.value_array(zs)
-    F = fx[:, None, None] + gy[None, :, None] + hz[None, None, :]
+    nodes = (np.linspace(x0, x1, grid.nx + 1),
+             np.linspace(y0, y1, grid.ny + 1),
+             np.linspace(z0, z1, grid.nz + 1))
+    comps = surface.components
+    vals = [c.value_array(n) for c, n in zip(comps, nodes)]
+    F = vals[0][:, None, None] + vals[1][None, :, None] + vals[2][None, None, :]
 
     inside = F < 0.0  # NaN compares False, poisoning the cells it touches
     finite = np.isfinite(F)
@@ -290,39 +292,18 @@ def marching_cubes(surface: SeparableSurface, grid: GridSpec) -> Mesh:
     skipped = int(np.count_nonzero(~ok))
     cells = np.argwhere(active)
 
-    axes_nodes = (xs, ys, zs)
-    comps = surface.components
-    verts: list[tuple[float, float, float]] = []
+    # edge e of a cell: its lower corner's offset and its axis
+    edge_lo = []
+    for a, b in CORNER_PAIRS:
+        oa, ob = CORNER_OFFSETS[a], CORNER_OFFSETS[b]
+        edge_lo.append((tuple(min(u, v) for u, v in zip(oa, ob)),
+                        next(i for i in range(3) if oa[i] != ob[i])))
     vert_ids: dict[tuple[int, int, int, int], int] = {}
     tris: list[tuple[int, int, int]] = []
 
     def edge_vertex(ci: int, cj: int, ck: int, edge: int) -> int:
-        a, b = CORNER_PAIRS[edge]
-        oa, ob = CORNER_OFFSETS[a], CORNER_OFFSETS[b]
-        ia = (ci + oa[0], cj + oa[1], ck + oa[2])
-        ib = (ci + ob[0], cj + ob[1], ck + ob[2])
-        axis = next(i for i in range(3) if oa[i] != ob[i])
-        lo_idx = min(ia, ib)
-        key = (lo_idx[0], lo_idx[1], lo_idx[2], axis)
-        hit = vert_ids.get(key)
-        if hit is not None:
-            return hit
-        va, vb = F[ia], F[ib]
-        ta = axes_nodes[axis][ia[axis]]
-        tb = axes_nodes[axis][ib[axis]]
-        if ta > tb:
-            ta, tb, va, vb = tb, ta, vb, va
-        # linear interpolation then 1-D projection along the edge
-        t = ta if vb == va else ta + (tb - ta) * (0.0 - va) / (vb - va)
-        t = min(max(t, ta), tb)
-        fixed = [float(axes_nodes[i][ia[i]]) for i in range(3)]
-        target = -sum(comps[i].value(fixed[i]) for i in range(3) if i != axis)
-        t = _polish_on_edge(comps[axis], t, ta, tb, target)
-        fixed[axis] = t
-        idx = len(verts)
-        verts.append(tuple(fixed))
-        vert_ids[key] = idx
-        return idx
+        (dx, dy, dz), axis = edge_lo[edge]
+        return vert_ids.setdefault((ci + dx, cj + dy, ck + dz, axis), len(vert_ids))
 
     for ci, cj, ck in cells:
         tri_row = TRI_TABLE[case[ci, cj, ck]]
@@ -333,16 +314,26 @@ def marching_cubes(surface: SeparableSurface, grid: GridSpec) -> Mesh:
             if len(set(ids)) == 3:
                 tris.append(ids)
 
-    vertices = np.array(verts) if verts else np.empty((0, 3))
+    keys = np.array(list(vert_ids), dtype=np.int64).reshape(-1, 4)
+    vertices = np.column_stack([nodes[i][keys[:, i]] for i in range(3)])
+    for axis in range(3):
+        rows = np.flatnonzero(keys[:, 3] == axis)
+        lo = keys[rows, :3]
+        hi = lo.copy()
+        hi[:, axis] += 1
+        va, vb = F[tuple(lo.T)], F[tuple(hi.T)]
+        ta, tb = nodes[axis][lo[:, axis]], nodes[axis][hi[:, axis]]
+        with np.errstate(all="ignore"):
+            t = np.where(vb == va, ta, ta + (tb - ta) * (0.0 - va) / (vb - va))
+        t = np.minimum(np.maximum(t, ta), tb)
+        o1, o2 = (i for i in range(3) if i != axis)
+        target = -(vals[o1][lo[:, o1]] + vals[o2][lo[:, o2]])
+        vertices[rows, axis] = _polish_on_edges(
+            comps[axis], t, ta, tb, vals[axis][lo[:, axis]], target)
     triangles = np.array(tris, dtype=np.int64) if tris else np.empty((0, 3), dtype=np.int64)
 
-    if vertices.size:
-        from .geometry import curvature_batch
-
-        vertex_K = curvature_batch(surface, vertices, eps=REGULARITY_EPS)
-    else:
-        vertex_K = np.empty(0)
-    return Mesh(vertices, triangles, vertex_K, skipped_cells=skipped, grid=grid)
+    return Mesh(vertices, triangles, curvature_batch(surface, vertices),
+                skipped_cells=skipped, grid=grid)
 
 
 # -- exporters ----------------------------------------------------------------------
@@ -368,7 +359,7 @@ def export_report(mesh: Mesh, path) -> None:
         "skipped_cells": mesh.skipped_cells,
         "grid": mesh.grid.to_json() if mesh.grid is not None else None,
     }
-    text = json.dumps(doc, indent=2)
+    text = json.dumps(doc, indent=2, allow_nan=False)
     if hasattr(path, "write"):
         path.write(text + "\n")
     else:

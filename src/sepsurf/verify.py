@@ -26,12 +26,10 @@ from .geometry import (
     SeparableSurface,
     SingularPointError,
     curvature_batch,
-    gauss_curvature_implicit,
-    implicit_jet,
+    curvature_implicit_batch,
     k2_residual_batch,
     level_state_batch,
     shift_level,
-    transform_jet,
 )
 from .sampler import GridSpec, sample_points
 
@@ -122,6 +120,7 @@ class StructureEvidence:
     rotational surface).
     kappa_estimate: median branch constant over samples and axes.
     kappa_agreement: spread (max - min) of the available branch constants.
+    Both are None where no branch constant is defined (all f'' = 0).
     scale / scale_rate: normalization magnitudes the flags are judged against.
     """
 
@@ -138,7 +137,7 @@ class StructureEvidence:
     pair_XZ: float
     pair_YZ: float
     kappa_estimate: Optional[float]
-    kappa_agreement: float
+    kappa_agreement: Optional[float]
     scale: float
     scale_rate: float
 
@@ -203,10 +202,9 @@ def estimate_structure(surface: SeparableSurface, points: np.ndarray,
     kappas = kappas[np.isfinite(kappas)]
     if kappas.size:
         kappa_est: Optional[float] = float(np.median(kappas))
-        kappa_agree = float(np.max(kappas) - np.min(kappas))
+        kappa_agree: Optional[float] = float(np.max(kappas) - np.min(kappas))
     else:
-        kappa_est = None
-        kappa_agree = math.inf
+        kappa_est = kappa_agree = None
 
     def spread(col: np.ndarray) -> float:
         return float(np.max(col) - np.min(col))
@@ -493,25 +491,38 @@ class TheoremCheckReport:
         }
 
 
-def _curvature_implicit_cols(surface: SeparableSurface, pts: np.ndarray) -> np.ndarray:
-    """Full six-determinant cofactor route, columnwise (off-diagonals carried)."""
-    fa, ga, ha = surface.jet_arrays(pts)
-    gx, gy, gz = fa[1], ga[1], ha[1]
-    hxx, hyy, hzz = fa[2], ga[2], ha[2]
-    zero = np.zeros_like(gx)
-    hxy = hxz = hyz = zero
-    num = (
-        gx * gx * (hyy * hzz - hyz * hyz)
-        + gy * gy * (hxx * hzz - hxz * hxz)
-        + gz * gz * (hxx * hyy - hxy * hxy)
-        + 2.0 * gx * gy * (hyz * hxz - hxy * hzz)
-        + 2.0 * gy * gz * (hxy * hxz - hyz * hxx)
-        + 2.0 * gx * gz * (hxy * hyz - hxz * hyy)
-    )
-    g2 = gx * gx + gy * gy + gz * gz
-    with np.errstate(all="ignore"):
-        K = num / (g2 * g2)
-    return np.where(np.sqrt(g2) > 1e-9, K, np.nan)
+def _implicit_cols(surface: SeparableSurface, pts: np.ndarray) -> tuple:
+    """(N, 3) gradients and diagonal (N, 3, 3) Hessians of F = f + g + h."""
+    jets = surface.jet_arrays(pts)
+    grad = np.stack([j[1] for j in jets], axis=-1)
+    hess = np.zeros(grad.shape + (3,))
+    for i, j in enumerate(jets):
+        hess[:, i, i] = j[2]
+    return grad, hess
+
+
+def _rotate(grad: np.ndarray, hess: np.ndarray, rng: np.random.Generator) -> tuple:
+    """grad -> R^T grad, hess -> R^T hess R, a random rotation R per row."""
+    R, _ = np.linalg.qr(rng.normal(size=(len(grad), 3, 3)))
+    return (np.einsum("nji,nj->ni", R, grad),
+            np.einsum("nki,nkl,nlj->nij", R, hess, R))
+
+
+def _curvature_rotated(surface: SeparableSurface, pts: np.ndarray,
+                       rng: np.random.Generator) -> np.ndarray:
+    """K by the general cofactor route on randomly rotated full Hessians.
+
+    The rotation fills every off-diagonal Hessian entry, so this shares no
+    arithmetic with the separable short form of ``curvature_batch``.
+    """
+    return curvature_implicit_batch(*_rotate(*_implicit_cols(surface, pts), rng))
+
+
+def _worst_rel(K1: np.ndarray, K0: np.ndarray) -> tuple[float, int]:
+    """max |K1 - K0| / (1 + |K0|) over the rows where both are finite, and their count."""
+    good = np.isfinite(K1) & np.isfinite(K0)
+    d = np.abs(K1[good] - K0[good]) / (1.0 + np.abs(K0[good]))
+    return float(np.max(d, initial=0.0)), int(np.count_nonzero(good))
 
 
 def _constant_K_entries(entries):
@@ -528,50 +539,27 @@ def _suite_geometry(report: TheoremCheckReport, seed: int) -> None:
     worst, count = 0.0, 0
     for e in entries:
         pts = samples[e.name]
-        Ks = curvature_batch(e.surface, pts)
-        Ki = _curvature_implicit_cols(e.surface, pts)
-        good = np.isfinite(Ks) & np.isfinite(Ki)
-        d = np.abs(Ks[good] - Ki[good]) / (1.0 + np.abs(Ks[good]))
-        worst = max(worst, float(np.max(d)))
-        count += int(np.count_nonzero(good))
+        w, c = _worst_rel(_curvature_rotated(e.surface, pts, rng),
+                          curvature_batch(e.surface, pts))
+        worst = max(worst, w)
+        count += c
     report.add("curvature-formula-agreement", worst, 1e-10, count)
 
-    # rigid-motion invariance of the implicit route
-    worst, count = 0.0, 0
+    # invariance of the implicit route under rotations and under F -> lambda F
+    rot_worst, rot_count, scale_worst, scale_count = 0.0, 0, 0.0, 0
     for e in entries:
-        pts = samples[e.name][:40]
-        for p in pts:
-            try:
-                jet = implicit_jet(e.surface, p)
-                K0 = gauss_curvature_implicit(jet)
-            except (SingularPointError, EvalDomainError):
-                continue
-            for _ in range(3):
-                Q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
-                t = rng.normal(size=3)
-                K1 = gauss_curvature_implicit(transform_jet(jet, Q, t))
-                worst = max(worst, abs(K1 - K0) / (1.0 + abs(K0)))
-                count += 1
-    report.add("rigid-motion-invariance", worst, 1e-10, count)
-
-    # scaling invariance: F -> lambda F
-    worst, count = 0.0, 0
-    for e in entries:
-        pts = samples[e.name][:40]
-        for p in pts:
-            try:
-                jet = implicit_jet(e.surface, p)
-                K0 = gauss_curvature_implicit(jet)
-            except (SingularPointError, EvalDomainError):
-                continue
-            for lam in (-2.0, 0.5, 10.0):
-                from .geometry import ImplicitJet2
-
-                scaled = ImplicitJet2(lam * jet.F, lam * jet.grad, lam * jet.hess)
-                K1 = gauss_curvature_implicit(scaled)
-                worst = max(worst, abs(K1 - K0) / (1.0 + abs(K0)))
-                count += 1
-    report.add("scaling-invariance", worst, 1e-10, count)
+        grad, hess = _implicit_cols(e.surface, samples[e.name][:40])
+        K0 = curvature_implicit_batch(grad, hess)
+        for _ in range(3):
+            w, c = _worst_rel(curvature_implicit_batch(*_rotate(grad, hess, rng)), K0)
+            rot_worst = max(rot_worst, w)
+            rot_count += c
+        for lam in (-2.0, 0.5, 10.0):
+            w, c = _worst_rel(curvature_implicit_batch(lam * grad, lam * hess), K0)
+            scale_worst = max(scale_worst, w)
+            scale_count += c
+    report.add("rigid-motion-invariance", rot_worst, 1e-10, rot_count)
+    report.add("scaling-invariance", scale_worst, 1e-10, scale_count)
 
     # squared-slope identity residual at measured K
     worst, count = 0.0, 0

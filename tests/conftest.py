@@ -1,10 +1,16 @@
-"""Shared test helpers: random expression trees and the finite-difference oracle.
+"""Shared test helpers: random expression trees and two oracles.
 
-The oracle is pure central differencing of the expression itself, evaluated
-in extended precision so that stencil roundoff stays far below the 1e-6
-comparison tolerance; the second/third derivatives use Richardson-combined
-central stencils.  It never touches the symbolic derivative trees it checks.
+``eval_math`` is a scalar evaluator over the ``math`` module, written apart
+from the library's numpy evaluator so that the two can be compared.
+
+The finite-difference oracle is pure central differencing of the expression
+itself, evaluated in extended precision so that stencil roundoff stays far
+below the 1e-6 comparison tolerance; the second/third derivatives use
+Richardson-combined central stencils.  It never touches the symbolic
+derivative trees it checks.
 """
+
+import math
 
 import numpy as np
 
@@ -23,6 +29,55 @@ _UNARY_OPS = ("neg", "sin", "cos", "sinh", "cosh", "tanh", "exp", "log", "sqrt",
 _POW_EXPONENTS = (2.0, 3.0, -1.0, -2.0, 0.5, 1.5)
 
 _L = np.longdouble
+
+
+def eval_math(node, x: float) -> float:
+    """Reference scalar evaluation with the ``math`` module.
+
+    Raises EvalDomainError outside the real domain, like ``evaluate``.
+    """
+    try:
+        v = _eval_math(node, float(x))
+    except (OverflowError, ZeroDivisionError, ValueError) as exc:
+        raise EvalDomainError(str(exc)) from exc
+    if not math.isfinite(v):
+        raise EvalDomainError(f"non-finite value {v!r}")
+    return v
+
+
+def _eval_math(node, x: float) -> float:
+    if isinstance(node, Const):
+        return node.value
+    if isinstance(node, Var):
+        return x
+    if isinstance(node, Unary):
+        a = _eval_math(node.arg, x)
+        if node.op == "neg":
+            return -a
+        if node.op in ("log", "sqrt") and a <= 0.0:
+            raise EvalDomainError(f"{node.op} of non-positive {a!r}")
+        if node.op == "abs":
+            return abs(a)
+        return getattr(math, node.op)(a)
+    a = _eval_math(node.lhs, x)
+    b = _eval_math(node.rhs, x)
+    if node.op == "add":
+        return a + b
+    if node.op == "sub":
+        return a - b
+    if node.op == "mul":
+        return a * b
+    if node.op == "div":
+        if b == 0.0:
+            raise EvalDomainError("division by zero")
+        return a / b
+    if b == int(b):
+        if a == 0.0 and b < 0:
+            raise EvalDomainError("zero base with negative integer exponent")
+        return a ** int(b)
+    if a <= 0.0:
+        raise EvalDomainError(f"non-positive base {a!r} with non-integer exponent {b!r}")
+    return a ** b
 
 
 def random_tree(rng: np.random.Generator, depth: int = 4):

@@ -79,7 +79,7 @@ def test_criterion_2_sphere_family():
 
 
 def test_criterion_3_formula_cross_agreement():
-    from sepsurf.verify import _curvature_implicit_cols
+    from sepsurf.verify import _curvature_rotated
 
     rng = np.random.default_rng(42)
     entries = catalog(42)
@@ -89,7 +89,7 @@ def test_criterion_3_formula_cross_agreement():
         e = entries[i]
         pts = collect_samples(e.surface, e.box, 1000, seed=42, axis=e.axis)
         Ks = curvature_batch(e.surface, pts)
-        Ki = _curvature_implicit_cols(e.surface, pts)
+        Ki = _curvature_rotated(e.surface, pts, rng)
         good = np.isfinite(Ks) & np.isfinite(Ki)
         d = np.abs(Ks[good] - Ki[good]) / (1.0 + np.abs(Ks[good]))
         worst = max(worst, float(np.max(d)))

@@ -163,3 +163,24 @@ def test_verify_deterministic_reports(tmp_path, capsys):
     doc = json.loads(a.read_text())
     assert doc["passed"] is True
     assert doc["suite"] == "classifier"
+
+
+def _strict_loads(text):
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_plane_classify_report_is_strict_json(capsys):
+    # no f'' anywhere, so no branch constant: its spread is null, not Infinity
+    rc = main(["classify", "--f", "x", "--g", "y", "--h", "z", "--report", "-"])
+    assert rc == 0
+    doc = _strict_loads(capsys.readouterr().out)
+    assert doc["evidence"]["kappa_estimate"] is None
+    assert doc["evidence"]["kappa_agreement"] is None
+
+
+def test_deeply_nested_expression_exits_one(capsys):
+    rc = main(["curvature", "--f", "(" * 200 + "x" + ")" * 200, "--g", "y", "--h", "z"])
+    assert rc == 1
+    assert "nesting" in capsys.readouterr().err

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import draw_fd_case, random_tree
+from conftest import draw_fd_case, eval_math, random_tree
 from sepsurf.expr import (
     Binary,
     Const,
     EvalDomainError,
+    MAX_NESTING,
     Func1D,
     ParseError,
     Unary,
@@ -77,6 +78,32 @@ def test_parse_unary_minus_binds_power():
     assert parse_expr("-x^2+0*x") == Binary(
         "add", Unary("neg", Binary("pow", Var("x"), Const(2.0))), Const(0.0)
     ) or parse_expr("-x^2") == Unary("neg", Binary("pow", Var("x"), Const(2.0)))
+
+
+_DEEP_FORMS = {
+    "parentheses": lambda d: "(" * d + "x" + ")" * d,
+    "calls": lambda d: "sin(" * d + "x" + ")" * d,
+    "unary minus": lambda d: "-" * d + "x",
+    "power chain": lambda d: "2^" * d + "x",
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(_DEEP_FORMS)), st.integers(MAX_NESTING + 1, 3000))
+def test_parse_rejects_nesting_past_the_bound(form, depth):
+    with pytest.raises(ParseError, match="nesting"):
+        parse_expr(_DEEP_FORMS[form](depth))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.sampled_from(sorted(_DEEP_FORMS)), min_size=1, max_size=MAX_NESTING))
+def test_parse_accepts_mixed_nesting_up_to_the_bound(forms):
+    src = "x"
+    for form in forms:
+        src = _DEEP_FORMS[form](1).replace("x", src)
+    parse_expr(src)
+    with pytest.raises(ParseError, match="nesting"):
+        parse_expr(_DEEP_FORMS[forms[0]](MAX_NESTING + 1 - len(forms)).replace("x", src))
 
 
 # -- evaluation -----------------------------------------------------------------
@@ -247,8 +274,11 @@ def test_func1d_rejects_empty_domain():
 
 
 def test_vector_scalar_consistency():
+    # numpy against the math-module oracle, which may differ by an ulp;
+    # the scalar API is a one-row view of the array path, so bit-equal to it
     tree = parse_expr("sqrt(x)*exp(-x^2)+tanh(x)/x")
     xs = np.linspace(0.3, 2.5, 9)
     vec = eval_array(tree, xs)
     for x, v in zip(xs, vec):
-        assert abs(evaluate(tree, float(x)) - v) <= 1e-15 * (1 + abs(v))
+        assert abs(eval_math(tree, float(x)) - v) <= 1e-15 * (1 + abs(v))
+        assert evaluate(tree, float(x)) == v

@@ -156,6 +156,34 @@ def test_refinement_keeps_curvature_sign():
         assert signs_at(coarse, probes) == signs_at(fine, probes)
 
 
+def _edge_defects(mesh, box):
+    """(non-manifold edges, boundary edges with an end off every box face)."""
+    tris = mesh.triangles
+    edges = np.sort(np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]]), axis=1)
+    uniq, counts = np.unique(edges, axis=0, return_counts=True)
+    boundary = uniq[counts == 1]
+    on_face = np.zeros(len(boundary), dtype=bool)
+    for axis in range(3):
+        for bound in box[2 * axis: 2 * axis + 2]:
+            ends = np.abs(mesh.vertices[boundary, axis] - bound) <= 1e-12 * (1.0 + abs(bound))
+            on_face |= ends.all(axis=1)
+    return int(np.count_nonzero(counts > 2)), int(np.count_nonzero(~on_face))
+
+
+def test_meshes_are_manifold_with_boundary_on_box_faces():
+    from sepsurf.verify import catalog
+
+    cases = [(preset_surface(n), preset_box(n))
+             for n in ("paper-fig1-left", "paper-fig1-middle", "paper-fig1-right")]
+    cases += [(e.surface, e.box) for e in catalog()
+              if e.name in ("spindle-K1", "rotational-Kneg1")]
+    assert len(cases) == 5
+    for surf, box in cases:
+        mesh = marching_cubes(surf, GridSpec(box=tuple(box), nx=32, ny=32, nz=32))
+        assert len(mesh.triangles) > 100
+        assert _edge_defects(mesh, box) == (0, 0)
+
+
 # -- exporters ----------------------------------------------------------------------
 
 
