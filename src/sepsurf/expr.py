@@ -599,7 +599,8 @@ class Func1D:
 
     def deriv_value(self, x: float, order: int = 1) -> float:
         self._check(x)
-        return _one(self.jet3_array(np.array([float(x)]))[order], x)
+        tree = (self.ast, self._d1, self._d2, self._d3)[order]
+        return evaluate(tree, x)
 
 
 def eval_jet3(f: Func1D, x: float) -> Jet3:

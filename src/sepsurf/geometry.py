@@ -15,9 +15,10 @@ per-axis constant kappa = (X/X')' = 1 - f' f''' / (2 f''^2) labels the
 flat branches downstream.
 
 Each formula has one implementation, on jet columns or on (N, 3) gradients
-and (N, 3, 3) Hessians.  The scalar functions (``gauss_curvature_implicit``,
-``gauss_curvature_separable``, ``level_state``, ``k2_residual``) are
-one-row views of the batch ones.
+and (N, 3, 3) Hessians.  The scalar functions (``implicit_jet``,
+``transform_jet``, ``gauss_curvature_implicit``, ``gauss_curvature_separable``,
+``level_state``, ``k2_residual``, ``shift_level``) are one-row views of the
+batch ones.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ __all__ = [
     "k2_residual",
     "transform_jet",
     "curvature_batch",
-    "curvature_implicit_batch",
     "level_state_batch",
     "k2_residual_batch",
     "shift_level",
@@ -132,10 +132,8 @@ class ImplicitJet2:
 
 def implicit_jet(surface: SeparableSurface, p: Sequence[float]) -> ImplicitJet2:
     """Jet of F = f+g+h at p: diagonal Hessian diag(f'', g'', h'')."""
-    fj, gj, hj = surface.jets(p)
-    grad = np.array([fj.d1, gj.d1, hj.d1])
-    hess = np.diag([fj.d2, gj.d2, hj.d2])
-    return ImplicitJet2(fj.v + gj.v + hj.v, grad, hess)
+    F, grad, hess = _implicit_jet_cols(*_row_jets(surface, p))
+    return ImplicitJet2(float(F[0]), grad[0], hess[0])
 
 
 def _cofactor_quadratic(grad: np.ndarray, hess: np.ndarray) -> np.ndarray:
@@ -156,27 +154,16 @@ def _cofactor_quadratic(grad: np.ndarray, hess: np.ndarray) -> np.ndarray:
     )
 
 
-def curvature_implicit_batch(grad: np.ndarray, hess: np.ndarray,
-                             eps: float = REGULARITY_EPS) -> np.ndarray:
-    """K from (N, 3) gradients and (N, 3, 3) Hessians; NaN where singular."""
-    grad = np.asarray(grad, dtype=float)
-    g2 = np.sum(grad * grad, axis=-1)
-    with np.errstate(all="ignore"):
-        K = _cofactor_quadratic(grad, np.asarray(hess, dtype=float)) / (g2 * g2)
-        return np.where(np.sqrt(g2) > eps, K, np.nan)
-
-
 def gauss_curvature_implicit(jet: ImplicitJet2, eps: float = REGULARITY_EPS) -> float:
     """K of the level set from an arbitrary implicit jet.
 
     Even in the gradient, so no normal orientation is involved; homogeneous
     of degree zero under F -> lambda F.
     """
-    K = float(curvature_implicit_batch(jet.grad, jet.hess, eps))
-    if math.isnan(K):
-        raise SingularPointError(
-            f"|grad F| = {float(np.linalg.norm(jet.grad)):.3e} <= {eps:.0e}")
-    return K
+    g = float(np.linalg.norm(jet.grad))
+    if g <= eps:
+        raise SingularPointError(f"|grad F| = {g:.3e} <= {eps:.0e}")
+    return float(_curvature_implicit(jet.grad, jet.hess, eps))
 
 
 def _row_jets(surface: SeparableSurface, p: Sequence[float]) -> tuple:
@@ -253,15 +240,8 @@ def transform_jet(
     grad -> R^T grad, hess -> R^T hess R; the value and the translation do
     not enter.  The rotation must be orthogonal to 1e-12.
     """
-    R = np.asarray(rotation, dtype=float)
-    if R.shape != (3, 3):
-        raise ValueError("rotation must be 3x3")
-    if np.max(np.abs(R.T @ R - np.eye(3))) > 1e-12:
-        raise ValueError("rotation is not orthogonal within 1e-12")
     np.asarray(translation, dtype=float)  # shape check only
-    grad = R.T @ jet.grad
-    hess = R.T @ jet.hess @ R
-    hess = 0.5 * (hess + hess.T)  # kill round-off asymmetry
+    grad, hess = _rotate_jet(jet.grad, jet.hess, rotation)
     return ImplicitJet2(jet.F, grad, hess)
 
 
@@ -270,6 +250,42 @@ def transform_jet(
 # The ``*_cols`` kernels take per-axis jet columns (value, d1, d2, d3);
 # points that are singular or out of domain come back as NaN and are
 # filtered by the callers.
+
+
+def _implicit_jet_cols(fa, ga, ha) -> tuple:
+    """Values (N,), gradients (N, 3) and diagonal Hessians (N, 3, 3) of F."""
+    grad = np.stack([fa[1], ga[1], ha[1]], axis=-1)
+    hess = np.zeros(grad.shape + (3,))
+    for i, ja in enumerate((fa, ga, ha)):
+        hess[:, i, i] = ja[2]
+    return fa[0] + ga[0] + ha[0], grad, hess
+
+
+def _rotate_jet(grad: np.ndarray, hess: np.ndarray, rotation: np.ndarray) -> tuple:
+    """grad -> R^T grad, hess -> R^T hess R, symmetrised.
+
+    Takes one jet and a (3, 3) rotation, or (N, 3) gradients, (N, 3, 3)
+    Hessians and one rotation per row.  Each rotation must be orthogonal
+    to 1e-12.
+    """
+    R = np.asarray(rotation, dtype=float)
+    if R.shape != np.shape(grad)[:-1] + (3, 3):
+        raise ValueError("rotation must be 3x3")
+    Rt = np.swapaxes(R, -1, -2)
+    if np.max(np.abs(Rt @ R - np.eye(3)), initial=0.0) > 1e-12:
+        raise ValueError("rotation is not orthogonal within 1e-12")
+    grad = (Rt @ np.asarray(grad, dtype=float)[..., None])[..., 0]
+    hess = Rt @ np.asarray(hess, dtype=float) @ R
+    return grad, 0.5 * (hess + np.swapaxes(hess, -1, -2))  # kill round-off asymmetry
+
+
+def _curvature_implicit(grad: np.ndarray, hess: np.ndarray,
+                        eps: float = REGULARITY_EPS) -> np.ndarray:
+    """K from gradients and Hessians, one jet or a batch; NaN where singular."""
+    g2 = np.sum(grad * grad, axis=-1)
+    with np.errstate(all="ignore"):
+        K = _cofactor_quadratic(grad, hess) / (g2 * g2)
+        return np.where(np.sqrt(g2) > eps, K, np.nan)
 
 
 def _curvature_cols(fa, ga, ha, eps: float = REGULARITY_EPS) -> np.ndarray:
@@ -313,23 +329,47 @@ def k2_residual_batch(state: dict, K: np.ndarray) -> np.ndarray:
     return (lhs - 4.0 * K * s * s) / np.maximum(1.0, s * s)
 
 
+def _shift_level_cols(func, x0: np.ndarray, du: float, steps: int = 12) -> tuple:
+    """``shift_level`` on an array of start points: (x, zero_slope).
+
+    Each row runs the same Newton iteration and stops on its own; x is NaN
+    where a jet is undefined, the slope vanishes or the level is missed.
+    """
+    x = np.array(x0, dtype=float)
+    target = func.value_array(x) + du
+    zero_slope = np.zeros(x.shape, dtype=bool)
+    ok = ~np.isnan(target)
+    live = ok.copy()
+    for _ in range(steps):
+        idx = np.flatnonzero(live)
+        if idx.size == 0:
+            break
+        jet = np.stack(func.jet3_array(x[idx]))
+        undefined = np.isnan(jet).any(axis=0)
+        flat = ~undefined & (jet[1] == 0.0)
+        zero_slope[idx[flat]] = True
+        stop = undefined | flat
+        ok[idx[stop]] = False
+        go = idx[~stop]
+        with np.errstate(all="ignore"):
+            step = (jet[0][~stop] - target[go]) / jet[1][~stop]
+            x[go] = x[go] - step
+        live[idx[stop]] = False
+        live[go[np.abs(step) <= 1e-15 * (1.0 + np.abs(x[go]))]] = False
+    with np.errstate(all="ignore"):
+        ok &= np.abs(func.value_array(x) - target) <= 1e-10 * (1.0 + np.abs(target))
+    return np.where(ok, x, np.nan), zero_slope
+
+
 def shift_level(func, x0: float, du: float, steps: int = 12) -> float:
     """x near x0 with func(x) = func(x0) + du, by Newton on the level value.
 
     Needs a nonzero slope at x0; used to probe the squared-slope functions
     at displaced level values.
     """
-    target = func.value(x0) + du
-    x = x0
-    for _ in range(steps):
-        j = func.jet3(x)
-        r = j.v - target
-        if j.d1 == 0.0:
-            raise SingularPointError("zero slope during level inversion")
-        step = r / j.d1
-        x = x - step
-        if abs(step) <= 1e-15 * (1.0 + abs(x)):
-            break
-    if abs(func.value(x) - target) > 1e-10 * (1.0 + abs(target)):
-        raise EvalDomainError("level inversion did not converge")
-    return x
+    x, zero_slope = _shift_level_cols(func, np.array([float(x0)]), du, steps)
+    if zero_slope[0]:
+        raise SingularPointError("zero slope during level inversion")
+    if math.isnan(x[0]):
+        raise EvalDomainError("level inversion left the domain or did not converge")
+    return float(x[0])

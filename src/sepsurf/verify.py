@@ -21,15 +21,16 @@ from typing import Optional
 import numpy as np
 
 from . import families as fam
-from .expr import EvalDomainError, Func1D
+from .expr import Func1D
 from .geometry import (
     SeparableSurface,
-    SingularPointError,
+    _curvature_implicit,
+    _implicit_jet_cols,
+    _rotate_jet,
+    _shift_level_cols,
     curvature_batch,
-    curvature_implicit_batch,
     k2_residual_batch,
     level_state_batch,
-    shift_level,
 )
 from .sampler import GridSpec, sample_points
 
@@ -491,21 +492,9 @@ class TheoremCheckReport:
         }
 
 
-def _implicit_cols(surface: SeparableSurface, pts: np.ndarray) -> tuple:
-    """(N, 3) gradients and diagonal (N, 3, 3) Hessians of F = f + g + h."""
-    jets = surface.jet_arrays(pts)
-    grad = np.stack([j[1] for j in jets], axis=-1)
-    hess = np.zeros(grad.shape + (3,))
-    for i, j in enumerate(jets):
-        hess[:, i, i] = j[2]
-    return grad, hess
-
-
-def _rotate(grad: np.ndarray, hess: np.ndarray, rng: np.random.Generator) -> tuple:
-    """grad -> R^T grad, hess -> R^T hess R, a random rotation R per row."""
-    R, _ = np.linalg.qr(rng.normal(size=(len(grad), 3, 3)))
-    return (np.einsum("nji,nj->ni", R, grad),
-            np.einsum("nki,nkl,nlj->nij", R, hess, R))
+def _random_rotations(n: int, rng: np.random.Generator) -> np.ndarray:
+    """n seeded orthogonal matrices, the Q factors of Gaussian matrices."""
+    return np.linalg.qr(rng.normal(size=(n, 3, 3)))[0]
 
 
 def _curvature_rotated(surface: SeparableSurface, pts: np.ndarray,
@@ -515,7 +504,8 @@ def _curvature_rotated(surface: SeparableSurface, pts: np.ndarray,
     The rotation fills every off-diagonal Hessian entry, so this shares no
     arithmetic with the separable short form of ``curvature_batch``.
     """
-    return curvature_implicit_batch(*_rotate(*_implicit_cols(surface, pts), rng))
+    _, grad, hess = _implicit_jet_cols(*surface.jet_arrays(pts))
+    return _curvature_implicit(*_rotate_jet(grad, hess, _random_rotations(len(grad), rng)))
 
 
 def _worst_rel(K1: np.ndarray, K0: np.ndarray) -> tuple[float, int]:
@@ -548,14 +538,15 @@ def _suite_geometry(report: TheoremCheckReport, seed: int) -> None:
     # invariance of the implicit route under rotations and under F -> lambda F
     rot_worst, rot_count, scale_worst, scale_count = 0.0, 0, 0.0, 0
     for e in entries:
-        grad, hess = _implicit_cols(e.surface, samples[e.name][:40])
-        K0 = curvature_implicit_batch(grad, hess)
+        _, grad, hess = _implicit_jet_cols(*e.surface.jet_arrays(samples[e.name][:40]))
+        K0 = _curvature_implicit(grad, hess)
         for _ in range(3):
-            w, c = _worst_rel(curvature_implicit_batch(*_rotate(grad, hess, rng)), K0)
+            R = _random_rotations(len(grad), rng)
+            w, c = _worst_rel(_curvature_implicit(*_rotate_jet(grad, hess, R)), K0)
             rot_worst = max(rot_worst, w)
             rot_count += c
         for lam in (-2.0, 0.5, 10.0):
-            w, c = _worst_rel(curvature_implicit_batch(lam * grad, lam * hess), K0)
+            w, c = _worst_rel(_curvature_implicit(lam * grad, lam * hess), K0)
             scale_worst = max(scale_worst, w)
             scale_count += c
     report.add("rigid-motion-invariance", rot_worst, 1e-10, rot_count)
@@ -607,41 +598,32 @@ def _suite_geometry(report: TheoremCheckReport, seed: int) -> None:
 def _lemma_directional_check(surface: SeparableSurface, pts: np.ndarray,
                              K: float, delta: float = 1e-4,
                              max_points: int = 24) -> tuple[float, int]:
-    """|Q_u - Q_v| and |Q_v - Q_w| by centered differences along the section."""
+    """|Q_u - Q_v| and |Q_v - Q_w| by centered differences along the section.
 
-    def q_value(x: float, y: float, z: float) -> float:
-        fj = surface.f.jet3(x)
-        gj = surface.g.jet3(y)
-        hj = surface.h.jet3(z)
-        X, Y, Z = fj.d1 ** 2, gj.d1 ** 2, hj.d1 ** 2
-        dX, dY, dZ = 2 * fj.d2, 2 * gj.d2, 2 * hj.d2
-        return (X * dY * dZ + Y * dX * dZ + Z * dX * dY
-                - 4.0 * K * (X + Y + Z) ** 2)
+    Taken over the first ``max_points`` points whose slopes are all at least
+    0.2 and where every shifted jet is defined.
+    """
 
-    worst, count = 0.0, 0
-    for p in pts:
-        if count >= max_points:
-            break
-        x, y, z = (float(v) for v in p)
-        try:
-            fj = surface.f.jet3(x)
-            gj = surface.g.jet3(y)
-            hj = surface.h.jet3(z)
-        except EvalDomainError:
-            continue
-        if min(abs(fj.d1), abs(gj.d1), abs(hj.d1)) < 0.2:
-            continue
-        try:
-            xp, xm = shift_level(surface.f, x, delta), shift_level(surface.f, x, -delta)
-            yp, ym = shift_level(surface.g, y, delta), shift_level(surface.g, y, -delta)
-            zp, zm = shift_level(surface.h, z, delta), shift_level(surface.h, z, -delta)
-            quv = (q_value(xp, ym, z) - q_value(xm, yp, z)) / (2.0 * delta)
-            qvw = (q_value(x, yp, zm) - q_value(x, ym, zp)) / (2.0 * delta)
-        except (EvalDomainError, SingularPointError):
-            continue
-        worst = max(worst, abs(quv), abs(qvw))
-        count += 1
-    return worst, count
+    def q_value(x, y, z) -> np.ndarray:
+        jets = np.stack(surface.jet_arrays(np.stack([x, y, z], axis=-1)))
+        X, Y, Z = jets[0, 1] ** 2, jets[1, 1] ** 2, jets[2, 1] ** 2
+        dX, dY, dZ = 2 * jets[0, 2], 2 * jets[1, 2], 2 * jets[2, 2]
+        q = (X * dY * dZ + Y * dX * dZ + Z * dX * dY
+             - 4.0 * K * (X + Y + Z) ** 2)
+        return np.where(np.isnan(jets).any(axis=(0, 1)), np.nan, q)
+
+    pts = np.asarray(pts, dtype=float)
+    jets = np.stack(surface.jet_arrays(pts))
+    keep = (np.min(np.abs(jets[:, 1]), axis=0) >= 0.2) & ~np.isnan(jets).any(axis=(0, 1))
+    x, y, z = pts[keep].T
+    xp, xm = (_shift_level_cols(surface.f, x, d)[0] for d in (delta, -delta))
+    yp, ym = (_shift_level_cols(surface.g, y, d)[0] for d in (delta, -delta))
+    zp, zm = (_shift_level_cols(surface.h, z, d)[0] for d in (delta, -delta))
+    quv = (q_value(xp, ym, z) - q_value(xm, yp, z)) / (2.0 * delta)
+    qvw = (q_value(x, yp, zm) - q_value(x, ym, zp)) / (2.0 * delta)
+    err = np.maximum(np.abs(quv), np.abs(qvw))
+    err = err[~np.isnan(err)][:max_points]
+    return float(np.max(err, initial=0.0)), len(err)
 
 
 def _suite_families(report: TheoremCheckReport, seed: int) -> None:

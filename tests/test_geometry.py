@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from sepsurf import geometry
 from sepsurf.expr import Func1D
 from sepsurf.geometry import (
     ImplicitJet2,
@@ -203,6 +204,28 @@ def test_transform_rejects_non_orthogonal():
         transform_jet(jet, np.eye(3) * 1.001)
 
 
+def test_transform_rejects_a_stack_of_rotations_for_one_jet():
+    jet = implicit_jet(sphere(), (1.0, 0.0, 0.0))
+    with pytest.raises(ValueError):
+        transform_jet(jet, np.stack([np.eye(3)] * 2))
+
+
+def test_batched_rotation_matches_transform_jet():
+    # verify's rotated cross-check runs the same kernel on many rows at once
+    s = exp_surface()
+    rng = np.random.default_rng(8)
+    pts = rng.uniform(-1.0, 1.0, size=(12, 3))
+    R = np.linalg.qr(rng.normal(size=(12, 3, 3)))[0]
+    _, grad, hess = geometry._implicit_jet_cols(*s.jet_arrays(pts))
+    grads, hesss = geometry._rotate_jet(grad, hess, R)
+    K = geometry._curvature_implicit(grads, hesss)
+    for i, p in enumerate(pts):
+        out = transform_jet(implicit_jet(s, p), R[i])
+        np.testing.assert_allclose(out.grad, grads[i], rtol=1e-15, atol=1e-15)
+        np.testing.assert_allclose(out.hess, hesss[i], rtol=1e-15, atol=1e-15)
+        assert K[i] == pytest.approx(gauss_curvature_implicit(out), rel=1e-14)
+
+
 def test_scaling_leaves_curvature_unchanged():
     jet = implicit_jet(sphere(2.0), (1.2, 0.0, 1.6))
     K0 = gauss_curvature_implicit(jet)
@@ -229,6 +252,18 @@ def test_shift_level_moves_the_level_value():
     f = Func1D.parse("-2*log(x)", domain=(0, math.inf))
     x1 = shift_level(f, 1.3, 0.05)
     assert f.value(x1) == pytest.approx(f.value(1.3) + 0.05, abs=1e-12)
+
+
+def test_shift_level_rows_stop_on_their_own():
+    f = Func1D.parse("x^2")
+    x0 = np.array([1.3, 0.0, 2.0, -0.7])
+    x, zero_slope = geometry._shift_level_cols(f, x0, 0.05)
+    assert zero_slope.tolist() == [False, True, False, False]
+    assert math.isnan(x[1])
+    for i in (0, 2, 3):
+        assert x[i] == shift_level(f, x0[i], 0.05)
+    with pytest.raises(SingularPointError):
+        shift_level(f, 0.0, 0.05)
 
 
 # -- closed-form cross-checks of the implicit formula ---------------------------------
@@ -262,6 +297,12 @@ def test_implicit_curvature_hyperboloid_closed_form():
         hess = np.diag([2.0, 2.0, -2.0])
         K = gauss_curvature_implicit(ImplicitJet2(0.0, grad, hess))
         assert K == pytest.approx(-1.0 / (x * x + y * y + z * z) ** 2, rel=1e-12)
+
+
+def test_implicit_curvature_nonfinite_hessian_is_not_singular():
+    # a regular gradient is not a singular point, whatever the Hessian holds
+    jet = ImplicitJet2(0.0, [1.0, 0.0, 0.0], np.diag([0.0, math.inf, 0.0]))
+    assert math.isnan(gauss_curvature_implicit(jet))
 
 
 def test_branch_constant_matches_level_derivative():
