@@ -17,7 +17,8 @@ Grammar (whitespace insignificant)::
 ``ident`` is the declared variable or one of sin, cos, sinh, cosh, tanh,
 exp, log, sqrt, abs.  Numbers are decimal literals with an optional
 exponent.  Parentheses, calls, unary minus and ``^`` chains nest at most
-``MAX_NESTING`` deep together; deeper input is a ParseError.
+``MAX_NESTING`` deep together, and an expression has at most
+``MAX_TOKENS`` tokens; deeper or longer input is a ParseError.
 
 Evaluation has one implementation, the array evaluator ``eval_array``.
 The scalar calls (``evaluate``, ``Func1D.value``, ``jet3`` and
@@ -47,6 +48,7 @@ __all__ = [
     "ParseError",
     "EvalDomainError",
     "MAX_NESTING",
+    "MAX_TOKENS",
     "parse_expr",
     "print_expr",
     "differentiate",
@@ -136,6 +138,9 @@ def _tokenize(src: str) -> list[tuple[str, str, int]]:
 # bounds the parser's recursion and the nesting depth of the tree; the
 # derivative trees of nested calls and powers grow fast with that depth
 MAX_NESTING = 32
+# bounds the length of flat operator chains, which build left-leaning trees
+# as deep as the chain is long
+MAX_TOKENS = 256
 
 
 class _Parser:
@@ -157,6 +162,8 @@ class _Parser:
     def next(self) -> tuple[str, str, int]:
         tok = self.tokens[self.i]
         self.i += 1
+        if self.i > MAX_TOKENS:
+            raise ParseError(f"expression longer than {MAX_TOKENS} tokens", tok[2])
         return tok
 
     def expect_op(self, text: str) -> None:

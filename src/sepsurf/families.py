@@ -651,6 +651,16 @@ def _base_window(m: float, n: float, side: int, lo: float = 0.5,
     return (min(a, b), max(a, b))
 
 
+def _exp_cylinder_probe_z(spec: ExpCylinder) -> np.ndarray:
+    """z over a 17 x 17 probe grid of columns on [-1.2, 1.2]^2; NaN where none."""
+    xs = np.linspace(-1.2, 1.2, 17)
+    m1, m2, m3 = spec.m
+    n1, n2, n3 = spec.n
+    t = -(n1 * np.exp(m1 * xs[:, None]) + n2 * np.exp(m2 * xs[None, :]))
+    with np.errstate(all="ignore"):
+        return np.log(t / n3) / m3
+
+
 def admissible_box(spec: FamilySpec) -> Box:
     """Default sampling box: interior to the charts, containing a regular patch."""
     if isinstance(spec, GeneralizedCone):
@@ -672,12 +682,7 @@ def admissible_box(spec: FamilySpec) -> Box:
         return tuple(v for w in wins for v in w)
     if isinstance(spec, ExpCylinder):
         # solve the z term analytically over a probe grid to bound the window
-        xs = np.linspace(-1.2, 1.2, 17)
-        m1, m2, m3 = spec.m
-        n1, n2, n3 = spec.n
-        t = -(n1 * np.exp(m1 * xs[:, None]) + n2 * np.exp(m2 * xs[None, :]))
-        with np.errstate(all="ignore"):
-            z = np.log(t / n3) / m3
+        z = _exp_cylinder_probe_z(spec)
         z = z[np.isfinite(z)]
         if z.size == 0:
             raise InvalidFamilyError("no solvable columns over the probe window")

@@ -1,13 +1,15 @@
 """On-surface sampling and isosurface meshing.
 
 Roots along a coordinate axis are located by a fixed scan (256 subdivisions
-of the window) followed by bisection to 1e-13 and one Newton polish; the
-same engine backs the scalar ``solve_z`` and the batched samplers, so both
-produce bit-identical roots.  Meshes come from the standard 256-case
-marching-cubes tables (Lorensen & Cline 1987) with vertices re-projected
-onto the zero set along their grid edge, all vertices of a mesh in one
-batched pass.  Everything is deterministic given the grid spec (seed
-included); columns and cells are processed in a fixed order.
+of the window), run over the columns in fixed-size chunks, then bisection of
+every bracket of every column at once to 1e-13 and one Newton polish; one
+sort groups the roots by column and drops duplicates, so the work is linear
+in columns plus roots.  The same engine backs the scalar ``solve_z`` and the
+batched samplers, so both produce bit-identical roots.  Meshes come from
+the standard 256-case marching-cubes tables (Lorensen & Cline 1987) with
+vertices re-projected onto the zero set along their grid edge, all vertices
+of a mesh in one batched pass.  Everything is deterministic given the grid
+spec (seed included); columns and cells are processed in a fixed order.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ __all__ = [
 SCAN_SUBDIVISIONS = 256
 _BISECT_ITERS = 60  # halves a window of <= 1e5 down to <= 1e-13
 _DEFAULT_SPAN = 16.0  # scan window for unbounded domains
+_SCAN_CHUNK = 4096  # targets per scan pass; bounds the (chunk, S+1) scan arrays
 
 
 @dataclass(frozen=True)
@@ -95,32 +98,43 @@ def _axis_window(func, window: Optional[tuple[float, float]]) -> tuple[float, fl
 
 
 def _solve_targets(func, targets: np.ndarray,
-                   window: Optional[tuple[float, float]]) -> list[np.ndarray]:
-    """All roots of func(t) = target_j inside the window, per target.
+                   window: Optional[tuple[float, float]]) -> tuple[np.ndarray, np.ndarray]:
+    """All roots of func(t) = target_j inside the window, as flat arrays.
 
-    Scan with SCAN_SUBDIVISIONS intervals, bracket sign changes, bisect a
-    fixed 60 times (window/2^60 < 1e-13 for any window used here), then one
-    Newton polish.  Vectorized over all brackets of all targets at once.
+    Returns ``(column, root)``: the target index and the root, ordered by
+    column, then ascending root.  Scan with SCAN_SUBDIVISIONS intervals,
+    ``_SCAN_CHUNK`` targets at a time, and bracket sign changes; then
+    bisect every bracket of every target together a fixed 60 times
+    (window/2^60 < 1e-13 for any window used here) and take one Newton
+    polish.  Exact hits on scan nodes join the polished roots, and roots
+    within 1e-11 (relative) of the previous one in their column are dropped.
     """
     targets = np.asarray(targets, dtype=float)
     lo, hi = _axis_window(func, window)
-    if not lo < hi:
-        return [np.empty(0) for _ in targets]
+    if not lo < hi or not targets.size:
+        return np.empty(0, dtype=np.intp), np.empty(0)
     eps = 1e-12 * (abs(lo) + abs(hi) + 1.0)
     nodes = np.linspace(lo + eps, hi - eps, SCAN_SUBDIVISIONS + 1)
     vals = func.value_array(nodes)
 
     # brackets: consecutive finite nodes with a sign change of f - target
-    resid = vals[None, :] - targets[:, None]  # (T, S+1)
-    finite = np.isfinite(resid)
-    sign_change = (resid[:, :-1] * resid[:, 1:] < 0.0) & finite[:, :-1] & finite[:, 1:]
-    exact_hit = (resid[:, :-1] == 0.0) & finite[:, :-1]
-    t_idx, s_idx = np.nonzero(sign_change)
+    brackets, hits = [], []
+    for start in range(0, targets.size, _SCAN_CHUNK):
+        resid = vals[None, :] - targets[start:start + _SCAN_CHUNK, None]  # (chunk, S+1)
+        finite = np.isfinite(resid)
+        sign_change = (resid[:, :-1] * resid[:, 1:] < 0.0) & finite[:, :-1] & finite[:, 1:]
+        exact_hit = (resid[:, :-1] == 0.0) & finite[:, :-1]
+        t, s = np.nonzero(sign_change)
+        brackets.append((t + start, s))
+        t, s = np.nonzero(exact_hit)
+        hits.append((t + start, s))
+    t_idx, s_idx = (np.concatenate(parts) for parts in zip(*brackets))
+    hit_t, hit_s = (np.concatenate(parts) for parts in zip(*hits))
 
-    a = nodes[s_idx].copy()
-    b = nodes[s_idx + 1].copy()
-    fa = resid[t_idx, s_idx].copy()
+    a = nodes[s_idx]
+    b = nodes[s_idx + 1]
     tgt = targets[t_idx]
+    fa = vals[s_idx] - tgt
     for _ in range(_BISECT_ITERS):
         mid = 0.5 * (a + b)
         fm = func.value_array(mid) - tgt
@@ -139,29 +153,28 @@ def _solve_targets(func, targets: np.ndarray,
     ok = np.isfinite(stepped) & (stepped > a - (b - a)) & (stepped < b + (b - a))
     root = np.where(ok, stepped, root)
 
-    out: list[np.ndarray] = []
-    for j in range(targets.size):
-        mine = root[t_idx == j]
-        hits = nodes[:-1][exact_hit[j]]
-        allr = np.sort(np.concatenate([mine, hits]))
-        if allr.size > 1:  # drop duplicates within scan resolution
-            keep = np.concatenate([[True], np.diff(allr) > 1e-11 * (1.0 + np.abs(allr[1:]))])
-            allr = allr[keep]
-        out.append(allr)
-    return out
+    # group by column, ascending; drop duplicates within scan resolution
+    col = np.concatenate([t_idx, hit_t])
+    root = np.concatenate([root, nodes[hit_s]])
+    order = np.lexsort((root, col))
+    col, root = col[order], root[order]
+    keep = np.ones(col.size, dtype=bool)
+    keep[1:] = (col[1:] != col[:-1]) | (np.diff(root) > 1e-11 * (1.0 + np.abs(root[1:])))
+    return col[keep], root[keep]
 
 
 def solve_axis(surface: SeparableSurface, axis: int, c1: float, c2: float,
                window: Optional[tuple[float, float]] = None) -> list[float]:
     """Roots along coordinate ``axis`` with the other two held at (c1, c2).
 
-    (c1, c2) are the remaining coordinates in x, y, z order.
+    (c1, c2) are the remaining coordinates in x, y, z order.  A one-row
+    view of the batched engine; raises EvalDomainError where c1 or c2 is
+    outside its component's domain.
     """
     comps = surface.components
     others = [i for i in range(3) if i != axis]
     target = -(comps[others[0]].value(c1) + comps[others[1]].value(c2))
-    roots = _solve_targets(comps[axis], np.array([target]), window)[0]
-    return [float(r) for r in roots]
+    return _solve_targets(comps[axis], np.array([target]), window)[1].tolist()
 
 
 def solve_z(surface: SeparableSurface, x: float, y: float,
@@ -176,29 +189,20 @@ def solve_many(surface: SeparableSurface, c1: np.ndarray, c2: np.ndarray,
     """Batched solve over many columns; returns an (N, 3) point array.
 
     Points are ordered by (column index, ascending root), matching repeated
-    scalar ``solve_axis`` calls bit for bit.
+    scalar ``solve_axis`` calls bit for bit.  Columns where c1 or c2 is
+    outside its component's domain have no points.
     """
     comps = surface.components
     others = [i for i in range(3) if i != axis]
-    v1 = comps[others[0]].value_array(np.asarray(c1, dtype=float))
-    v2 = comps[others[1]].value_array(np.asarray(c2, dtype=float))
-    targets = -(v1 + v2)
-    good = np.isfinite(targets)
-    targets_checked = np.where(good, targets, np.inf)
-    per_col = _solve_targets(comps[axis], targets_checked, window)
-    pts = []
-    for j, roots in enumerate(per_col):
-        if not good[j]:
-            continue
-        for r in roots:
-            p = [0.0, 0.0, 0.0]
-            p[others[0]] = float(c1[j])
-            p[others[1]] = float(c2[j])
-            p[axis] = float(r)
-            pts.append(p)
-    if not pts:
-        return np.empty((0, 3))
-    return np.array(pts)
+    c1 = np.asarray(c1, dtype=float)
+    c2 = np.asarray(c2, dtype=float)
+    targets = -(comps[others[0]].value_array(c1) + comps[others[1]].value_array(c2))
+    col, root = _solve_targets(comps[axis], targets, window)  # non-finite targets bracket nothing
+    pts = np.empty((col.size, 3))
+    pts[:, others[0]] = c1[col]
+    pts[:, others[1]] = c2[col]
+    pts[:, axis] = root
+    return pts
 
 
 def sample_points(surface: SeparableSurface, grid: GridSpec,
@@ -341,15 +345,10 @@ def marching_cubes(surface: SeparableSurface, grid: GridSpec) -> Mesh:
 
 def export_obj(mesh: Mesh, path: str) -> None:
     """OBJ with v/f records: 1-based indices, LF endings, 17 significant digits."""
-    lines = []
-    for x, y, z in mesh.vertices:
-        lines.append(f"v {x:.17g} {y:.17g} {z:.17g}")
-    for a, b, c in mesh.triangles:
-        lines.append(f"f {a + 1} {b + 1} {c + 1}")
+    records = [f"v {x:.17g} {y:.17g} {z:.17g}\n" for x, y, z in mesh.vertices.tolist()]
+    records += [f"f {a} {b} {c}\n" for a, b, c in (mesh.triangles + 1).tolist()]
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines))
-        if lines:
-            fh.write("\n")
+        fh.write("".join(records))
 
 
 def export_report(mesh: Mesh, path) -> None:

@@ -412,13 +412,16 @@ def random_family(tag: str, rng: np.random.Generator):
         spec = fam.GeneralizedCone(p=p, m=m, n=n)
         return spec, fam.admissible_box(spec)
     if tag == "exp-cylinder":
-        m = tuple(float(rng.uniform(0.5, 1.5)) * (1 if rng.random() < 0.5 else -1)
-                  for _ in range(3))
-        mags = rng.uniform(0.5, 2.0, size=3)
-        minority = int(rng.integers(3))
-        n = tuple(float(mags[i]) * (-1 if i == minority else 1) for i in range(3))
-        spec = fam.ExpCylinder(m=m, n=n)
-        return spec, fam.admissible_box(spec)
+        # redraw slivers: a quarter of the box's probe columns must be solvable
+        while True:
+            m = tuple(float(rng.uniform(0.5, 1.5)) * (1 if rng.random() < 0.5 else -1)
+                      for _ in range(3))
+            mags = rng.uniform(0.5, 2.0, size=3)
+            minority = int(rng.integers(3))
+            n = tuple(float(mags[i]) * (-1 if i == minority else 1) for i in range(3))
+            spec = fam.ExpCylinder(m=m, n=n)
+            if np.mean(np.isfinite(fam._exp_cylinder_probe_z(spec))) >= 0.25:
+                return spec, fam.admissible_box(spec)
     if tag == "conical-power":
         spec = fam.ConicalPower(k=_draw_conical_k(rng), m=tuple(
             float(rng.uniform(0.5, 2.0)) * (1 if rng.random() < 0.5 else -1)

@@ -1,7 +1,12 @@
-"""Shared test helpers: random expression trees and two oracles.
+"""Shared test helpers: random expression trees and three oracles.
 
 ``eval_math`` is a scalar evaluator over the ``math`` module, written apart
 from the library's numpy evaluator so that the two can be compared.
+
+``solve_many_loop`` is the column root engine as a per-target loop: the same
+scan, bisection and Newton polish as ``sampler._solve_targets``, but the
+roots of each column are picked out, sorted and de-duplicated one column at
+a time, and the points are built one by one.
 
 The finite-difference oracle is pure central differencing of the expression
 itself, evaluated in extended precision so that stencil roundoff stays far
@@ -14,6 +19,7 @@ import math
 
 import numpy as np
 
+from sepsurf import sampler
 from sepsurf.expr import (
     Binary,
     Const,
@@ -154,3 +160,69 @@ def draw_fd_case(rng: np.random.Generator, depth: int = 4):
         if any(abs(ai - bi) > 1e-7 * (1 + abs(ai)) for ai, bi in zip(a, b)):
             continue
         return f, x, jet, a
+
+
+def solve_targets_loop(func, targets, window):
+    """Roots of func(t) = target_j in the window, one ascending array per target."""
+    targets = np.asarray(targets, dtype=float)
+    lo, hi = sampler._axis_window(func, window)
+    if not lo < hi:
+        return [np.empty(0) for _ in targets]
+    eps = 1e-12 * (abs(lo) + abs(hi) + 1.0)
+    nodes = np.linspace(lo + eps, hi - eps, sampler.SCAN_SUBDIVISIONS + 1)
+    vals = func.value_array(nodes)
+    resid = vals[None, :] - targets[:, None]
+    finite = np.isfinite(resid)
+    sign_change = (resid[:, :-1] * resid[:, 1:] < 0.0) & finite[:, :-1] & finite[:, 1:]
+    exact_hit = (resid[:, :-1] == 0.0) & finite[:, :-1]
+    t_idx, s_idx = np.nonzero(sign_change)
+
+    a = nodes[s_idx].copy()
+    b = nodes[s_idx + 1].copy()
+    fa = resid[t_idx, s_idx].copy()
+    tgt = targets[t_idx]
+    for _ in range(sampler._BISECT_ITERS):
+        mid = 0.5 * (a + b)
+        fm = func.value_array(mid) - tgt
+        left = ((fa * fm) > 0.0) & np.isfinite(fm)
+        a = np.where(left, mid, a)
+        fa = np.where(left, fm, fa)
+        b = np.where(left, b, mid)
+    root = 0.5 * (a + b)
+    _, d1, _, _ = func.jet3_array(root)
+    fr = func.value_array(root) - tgt
+    with np.errstate(all="ignore"):
+        stepped = root - fr / d1
+    ok = np.isfinite(stepped) & (stepped > a - (b - a)) & (stepped < b + (b - a))
+    root = np.where(ok, stepped, root)
+
+    out = []
+    for j in range(targets.size):
+        allr = np.sort(np.concatenate([root[t_idx == j], nodes[:-1][exact_hit[j]]]))
+        if allr.size > 1:
+            keep = np.concatenate([[True], np.diff(allr) > 1e-11 * (1.0 + np.abs(allr[1:]))])
+            allr = allr[keep]
+        out.append(allr)
+    return out
+
+
+def solve_many_loop(surface, c1, c2, window=None, axis=2):
+    """(N, 3) points column by column, ascending roots within a column."""
+    comps = surface.components
+    others = [i for i in range(3) if i != axis]
+    v1 = comps[others[0]].value_array(np.asarray(c1, dtype=float))
+    v2 = comps[others[1]].value_array(np.asarray(c2, dtype=float))
+    targets = -(v1 + v2)
+    good = np.isfinite(targets)
+    per_col = solve_targets_loop(comps[axis], np.where(good, targets, np.inf), window)
+    pts = []
+    for j, roots in enumerate(per_col):
+        if not good[j]:
+            continue
+        for r in roots:
+            p = [0.0, 0.0, 0.0]
+            p[others[0]] = float(c1[j])
+            p[others[1]] = float(c2[j])
+            p[axis] = float(r)
+            pts.append(p)
+    return np.array(pts) if pts else np.empty((0, 3))

@@ -184,3 +184,10 @@ def test_deeply_nested_expression_exits_one(capsys):
     rc = main(["curvature", "--f", "(" * 200 + "x" + ")" * 200, "--g", "y", "--h", "z"])
     assert rc == 1
     assert "nesting" in capsys.readouterr().err
+
+
+def test_long_flat_operator_chain_exits_one(capsys):
+    rc = main(["curvature", "--f=" + "+".join(["x"] * 3000), "--g", "y", "--h", "z"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "tokens" in err and "Traceback" not in err

@@ -11,6 +11,7 @@ from sepsurf.expr import (
     Const,
     EvalDomainError,
     MAX_NESTING,
+    MAX_TOKENS,
     Func1D,
     ParseError,
     Unary,
@@ -104,6 +105,15 @@ def test_parse_accepts_mixed_nesting_up_to_the_bound(forms):
     parse_expr(src)
     with pytest.raises(ParseError, match="nesting"):
         parse_expr(_DEEP_FORMS[forms[0]](MAX_NESTING + 1 - len(forms)).replace("x", src))
+
+
+@pytest.mark.parametrize("op", ["+", "-", "*", "/"])
+def test_parse_bounds_flat_chains_by_token_count(op):
+    chain = op.join(["x"] * (MAX_TOKENS // 2))  # MAX_TOKENS - 1 tokens
+    parse_expr("-" + chain)
+    for src in ("--" + chain, op.join(["x"] * 3000)):
+        with pytest.raises(ParseError, match="tokens"):
+            parse_expr(src)
 
 
 # -- evaluation -----------------------------------------------------------------

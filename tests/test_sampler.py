@@ -3,7 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from conftest import solve_many_loop
 
+from sepsurf import sampler
 from sepsurf.expr import Func1D
 from sepsurf.families import preset_box, preset_surface
 from sepsurf.geometry import SeparableSurface
@@ -14,6 +16,8 @@ from sepsurf.sampler import (
     export_report,
     marching_cubes,
     sample_points,
+    solve_axis,
+    solve_many,
     solve_z,
 )
 
@@ -57,6 +61,109 @@ def test_solve_z_residual_contract():
 def test_solve_z_window_restricts():
     roots = solve_z(sphere(), 0.6, 0.0, window=(0.0, 2.0))
     assert len(roots) == 1 and roots[0] == pytest.approx(0.8, abs=1e-12)
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _assert_engine_matches_loop(surface, c1, c2, window=None, axis=2):
+    """solve_many and solve_axis equal the per-target loop bit for bit."""
+    expected = solve_many_loop(surface, c1, c2, window, axis)
+    assert _same_bits(solve_many(surface, c1, c2, window, axis), expected)
+    comps = surface.components
+    o1, o2 = (i for i in range(3) if i != axis)
+    defined = np.isfinite(comps[o1].value_array(c1) + comps[o2].value_array(c2))
+    for a, b in zip(c1[defined], c2[defined]):  # solve_axis raises elsewhere
+        mine = expected[(expected[:, o1] == a) & (expected[:, o2] == b), axis]
+        assert _same_bits(solve_axis(surface, axis, a, b, window), mine)
+    return expected
+
+
+def _columns(n, seed=0, lo=-1.0, hi=1.0):
+    rng = np.random.default_rng(seed)
+    return rng.uniform(lo, hi, n), rng.uniform(lo, hi, n)
+
+
+@pytest.mark.parametrize("name", ["paper-fig1-left", "paper-fig1-middle", "paper-fig1-right"])
+def test_root_engine_matches_loop_on_presets(name):
+    surf = preset_surface(name)
+    x0, x1, y0, y1, z0, z1 = preset_box(name)
+    rng = np.random.default_rng(3)
+    c1, c2 = rng.uniform(x0, x1, 300), rng.uniform(y0, y1, 300)
+    assert len(_assert_engine_matches_loop(surf, c1, c2, (z0, z1))) > 50
+
+
+def test_root_engine_matches_loop_on_sphere_and_chunks():
+    n = 2 * sampler._SCAN_CHUNK + 7  # three scan chunks, the last one short
+    c1, c2 = _columns(n, seed=4, lo=-1.1, hi=1.1)
+    expected = solve_many_loop(sphere(), c1, c2)
+    assert len(expected) > n  # two roots on most columns
+    assert _same_bits(solve_many(sphere(), c1, c2), expected)
+    _assert_engine_matches_loop(sphere(), c1[:40], c2[:40])
+
+
+def test_root_engine_matches_loop_on_multi_root_column():
+    surf = SeparableSurface(Func1D.parse("x"), Func1D.parse("y", "y"),
+                            Func1D.parse("sin(3*z)", "z"))
+    c1, c2 = np.array([0.3, -0.7, 0.0, 2.0]), np.array([0.0, 0.1, 0.0, 0.0])
+    pts = _assert_engine_matches_loop(surf, c1, c2, (-10.0, 10.0))
+    assert np.count_nonzero(pts[:, 0] == 0.3) >= 19
+    assert np.count_nonzero(pts[:, 0] == 2.0) == 0  # |sin| <= 1 < 2
+
+
+def test_root_engine_matches_loop_on_exact_scan_node_hit():
+    surf = SeparableSurface(Func1D.parse("x"), Func1D.parse("y", "y"),
+                            Func1D.parse("z^3-z", "z"))
+    window = (-1.5, 1.5)
+    lo, hi = window
+    eps = 1e-12 * (abs(lo) + abs(hi) + 1.0)
+    nodes = np.linspace(lo + eps, hi - eps, sampler.SCAN_SUBDIVISIONS + 1)
+    hit_vals = nodes[[40, 128, 200]] ** 3 - nodes[[40, 128, 200]]
+    pts = _assert_engine_matches_loop(surf, -hit_vals, np.zeros(3), window)
+    assert set(nodes[[40, 128, 200]]) <= set(pts[:, 2])  # the scan nodes themselves
+
+
+def test_root_engine_matches_loop_on_non_finite_targets():
+    # log(x) is NaN for x <= 0: those columns have no points
+    surf = SeparableSurface(Func1D.parse("log(x)"), Func1D.parse("y^2", "y"),
+                            Func1D.parse("z^2-1", "z"))
+    c1 = np.array([0.5, -0.5, 0.0, 1.5, -2.0, 0.9])
+    c2 = np.array([0.1, 0.2, 0.3, 0.4, 0.5, 0.6])
+    pts = _assert_engine_matches_loop(surf, c1, c2, (-3.0, 3.0))
+    assert len(pts) == 6 and np.all(pts[:, 0] > 0.0)
+
+
+def test_root_engine_empty_window_and_zero_columns():
+    surf = SeparableSurface(Func1D.parse("x^2"), Func1D.parse("y^2", "y"),
+                            Func1D.parse("z-1", "z", domain=(0.0, 2.0)))
+    c1, c2 = _columns(5)
+    assert len(_assert_engine_matches_loop(surf, c1, c2, (3.0, 4.0))) == 0
+    assert len(_assert_engine_matches_loop(surf, c1, c2, (1.0, 1.0))) == 0
+    for pts in (solve_many(surf, np.empty(0), np.empty(0)),
+                solve_many_loop(surf, np.empty(0), np.empty(0))):
+        assert pts.shape == (0, 3)
+
+
+@pytest.mark.parametrize("case", ["paper-fig1-left", "paper-fig1-middle",
+                                  "paper-fig1-right", "sphere", "right-cylinder"])
+def test_sample_points_matches_loop(case, monkeypatch):
+    if case == "sphere":
+        surf, box = sphere(), (-1.1, 1.1, -1.1, 1.1, -1.1, 1.1)
+    elif case == "right-cylinder":
+        from sepsurf.families import RightCylinder, build_surface
+
+        surf = build_surface(RightCylinder(
+            f=Func1D.parse("cosh(x)"), g=Func1D.parse("y^2", "y"), a=-3.0, plane="z"))
+        box = (-1.2, 1.2, -1.6, 1.6, -1.0, 1.0)
+    else:
+        surf, box = preset_surface(case), preset_box(case)
+    grid = GridSpec(box=tuple(box), nx=70, ny=70, nz=70, seed=11)
+    got = sample_points(surf, grid)
+    monkeypatch.setattr(sampler, "solve_many", solve_many_loop)
+    assert _same_bits(got, sample_points(surf, grid))
+    assert len(got) > 1000
 
 
 # -- sampling ----------------------------------------------------------------------
@@ -202,6 +309,25 @@ def test_export_obj_17_digits(tmp_path):
     export_obj(mesh, str(path))
     text = path.read_text()
     assert f"{v:.17g}" in text
+
+
+def test_export_obj_bytes_match_per_row_formatter(tmp_path):
+    vertices = np.array([[-0.0, 1e-300, 1e300], [0.1, -2.5, 3.0],
+                         [-1e-300, -1e300, 0.0], [1.0 / 3.0, 2.0 ** -1074, 12345.678]])
+    triangles = np.array([[0, 1, 2], [1, 3, 2], [3, 0, 1]])
+    path = tmp_path / "m.obj"
+    export_obj(Mesh(vertices, triangles, np.zeros(4)), str(path))
+    lines = [f"v {x:.17g} {y:.17g} {z:.17g}" for x, y, z in vertices]
+    lines += [f"f {a + 1} {b + 1} {c + 1}" for a, b, c in triangles]
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+    assert path.read_text().startswith("v -0 1e-300 1.0000000000000001e+300\n")
+
+
+def test_export_obj_empty_mesh(tmp_path):
+    path = tmp_path / "empty.obj"
+    export_obj(Mesh(np.empty((0, 3)), np.empty((0, 3), dtype=np.int64), np.empty(0)),
+               str(path))
+    assert path.read_bytes() == b""
 
 
 def test_export_report_schema(tmp_path):

@@ -3,6 +3,7 @@ import pytest
 
 from sepsurf.expr import Func1D
 from sepsurf.families import (
+    ExpCylinder,
     Translation,
     admissible_box,
     build_surface,
@@ -174,6 +175,17 @@ def test_random_families_build_and_sample():
         pts = _samples(surf, box, n=80, seed=3)
         assert len(pts) >= 80
         assert np.max(np.abs(surf.value_arrays(pts))) <= 1e-9
+
+
+def test_exp_cylinder_slivers_are_redrawn():
+    # this draw leaves 16 % of the 17 x 17 probe columns solvable; the
+    # classifier suite for seed 791266 drew it and could not gather 220 points
+    sliver = ExpCylinder(m=(-0.5406822690611995, 0.5297667429202542, 0.8505297796637973),
+                         n=(-0.6018278430620743, 1.9129666098937812, 0.6265461150445824))
+    with pytest.raises(TooFewPointsError):
+        collect_samples(build_surface(sliver), admissible_box(sliver), 220, seed=791266)
+    rep = run_theorem_suite("classifier", seed=791266)
+    assert rep.passed, [c.name for c in rep.checks if not c.passed]
 
 
 def test_classifier_suite_passes():
