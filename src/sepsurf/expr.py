@@ -18,7 +18,9 @@ Grammar (whitespace insignificant)::
 exp, log, sqrt, abs.  Numbers are decimal literals with an optional
 exponent.  Parentheses, calls, unary minus and ``^`` chains nest at most
 ``MAX_NESTING`` deep together, and an expression has at most
-``MAX_TOKENS`` tokens; deeper or longer input is a ParseError.
+``MAX_TOKENS`` tokens; deeper or longer input is a ParseError.  So is a
+derivative tree of more than ``MAX_DERIV_NODES`` nodes: products and
+quotient chains grow theirs about as n^4 over three orders.
 
 Evaluation has one implementation, the array evaluator ``eval_array``.
 The scalar calls (``evaluate``, ``Func1D.value``, ``jet3`` and
@@ -49,6 +51,7 @@ __all__ = [
     "EvalDomainError",
     "MAX_NESTING",
     "MAX_TOKENS",
+    "MAX_DERIV_NODES",
     "parse_expr",
     "print_expr",
     "differentiate",
@@ -141,6 +144,9 @@ MAX_NESTING = 32
 # bounds the length of flat operator chains, which build left-leaning trees
 # as deep as the chain is long
 MAX_TOKENS = 256
+# bounds each derivative tree as differentiation builds it, before it is
+# simplified; evaluation time grows with tree size
+MAX_DERIV_NODES = 50_000
 
 
 class _Parser:
@@ -317,12 +323,40 @@ def _eval_vec(node: Ast, xs: np.ndarray) -> np.ndarray:
 
 
 def differentiate(node: Ast) -> Ast:
-    """Exact derivative tree; total on the grammar.
+    """Exact derivative tree.
 
     abs differentiates to u/|u| (the sign), so the derivative errors at the
-    kink under evaluation rather than here.
+    kink under evaluation rather than here.  Raises ParseError when the
+    unsimplified derivative has more than MAX_DERIV_NODES nodes.
     """
-    return simplify(_diff(node))
+    d = _diff(node)
+    if _tree_size(d) > MAX_DERIV_NODES:
+        raise ParseError(f"derivative tree larger than {MAX_DERIV_NODES} nodes", 0)
+    return simplify(d)
+
+
+def _tree_size(root: Ast) -> int:
+    """Node count of the tree, without recursion; a subtree object shared by
+    several parents is sized once and counted once per parent."""
+    size: dict[int, int] = {}
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Binary):
+            a, b = size.get(id(node.lhs)), size.get(id(node.rhs))
+            if a is None or b is None:
+                stack += (node, node.lhs, node.rhs)
+                continue
+            size[id(node)] = 1 + a + b
+        elif isinstance(node, Unary):
+            a = size.get(id(node.arg))
+            if a is None:
+                stack += (node, node.arg)
+                continue
+            size[id(node)] = 1 + a
+        else:
+            size[id(node)] = 1
+    return size[id(root)]
 
 
 def _diff(node: Ast) -> Ast:

@@ -6,10 +6,11 @@ every bracket of every column at once to 1e-13 and one Newton polish; one
 sort groups the roots by column and drops duplicates, so the work is linear
 in columns plus roots.  The same engine backs the scalar ``solve_z`` and the
 batched samplers, so both produce bit-identical roots.  Meshes come from
-the standard 256-case marching-cubes tables (Lorensen & Cline 1987) with
-vertices re-projected onto the zero set along their grid edge, all vertices
-of a mesh in one batched pass.  Everything is deterministic given the grid
-spec (seed included); columns and cells are processed in a fixed order.
+the standard 256-case marching-cubes tables (Lorensen & Cline 1987),
+applied to all cells at once through global grid-edge ids, with vertices
+re-projected onto the zero set along their grid edge in one batched pass.
+Everything is deterministic given the grid spec (seed included); columns
+and cells are processed in a fixed order.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._mc_tables import CORNER_OFFSETS, CORNER_PAIRS, TRI_TABLE
+from ._mc_tables import CORNER_OFFSETS, EDGE_AXIS, EDGE_LO, TRI_TABLE
 from .geometry import SeparableSurface, curvature_batch
 
 __all__ = [
@@ -266,11 +267,12 @@ def marching_cubes(surface: SeparableSurface, grid: GridSpec) -> Mesh:
     """Triangulate the zero set inside the grid box.
 
     Cells whose corners fail to evaluate (domain edges) are skipped and
-    counted.  The per-cell pass numbers the cut-edge vertices by first
-    occurrence; all vertices are then placed at once, per axis: linear
-    interpolation on their grid edge, then a batched Newton projection onto
-    the zero set along that edge.  Per-vertex curvature comes from the
-    batched separable formula (NaN where singular).
+    counted.  Each table slot of each active cell names the global id of
+    the grid edge it cuts; vertices are numbered by the first slot, in cell
+    then slot order, that names their edge.  All vertices are then placed
+    at once, per axis: linear interpolation on their grid edge, then a
+    batched Newton projection onto the zero set along that edge.  Per-vertex
+    curvature comes from the batched separable formula (NaN where singular).
     """
     x0, x1, y0, y1, z0, z1 = grid.box
     nodes = (np.linspace(x0, x1, grid.nx + 1),
@@ -284,45 +286,35 @@ def marching_cubes(surface: SeparableSurface, grid: GridSpec) -> Mesh:
     finite = np.isfinite(F)
 
     # case index per cell, corners per the table layout
-    case = np.zeros((grid.nx, grid.ny, grid.nz), dtype=np.int32)
+    case = np.zeros((grid.nx, grid.ny, grid.nz), dtype=np.uint8)
     ok = np.ones_like(case, dtype=bool)
     for bit, (dx, dy, dz) in enumerate(CORNER_OFFSETS):
         sub = inside[dx:grid.nx + dx, dy:grid.ny + dy, dz:grid.nz + dz]
         fin = finite[dx:grid.nx + dx, dy:grid.ny + dy, dz:grid.nz + dz]
-        case |= sub.astype(np.int32) << bit
+        case |= sub.astype(np.uint8) << bit
         ok &= fin
 
     active = ok & (case != 0) & (case != 255)
     skipped = int(np.count_nonzero(~ok))
-    cells = np.argwhere(active)
 
-    # edge e of a cell: its lower corner's offset and its axis
-    edge_lo = []
-    for a, b in CORNER_PAIRS:
-        oa, ob = CORNER_OFFSETS[a], CORNER_OFFSETS[b]
-        edge_lo.append((tuple(min(u, v) for u, v in zip(oa, ob)),
-                        next(i for i in range(3) if oa[i] != ob[i])))
-    vert_ids: dict[tuple[int, int, int, int], int] = {}
-    tris: list[tuple[int, int, int]] = []
+    # every table slot of every active cell, in cell-then-slot order, as
+    # its edge's lower grid corner and axis; three slots make a triangle
+    table = TRI_TABLE[case[active]]
+    cell, slot = np.nonzero(table >= 0)
+    edge = table[cell, slot]
+    corner = np.argwhere(active)[cell] + EDGE_LO[edge]
+    axes = EDGE_AXIS[edge]
+    gid = ((corner[:, 0] * (grid.ny + 1) + corner[:, 1]) * (grid.nz + 1)
+           + corner[:, 2]) * 3 + axes
+    _, first, inv = np.unique(gid, return_index=True, return_inverse=True)
+    triangles = np.argsort(np.argsort(first))[inv].reshape(-1, 3)
+    v_slot = np.sort(first)
+    v_lo, v_axis = corner[v_slot], axes[v_slot]
 
-    def edge_vertex(ci: int, cj: int, ck: int, edge: int) -> int:
-        (dx, dy, dz), axis = edge_lo[edge]
-        return vert_ids.setdefault((ci + dx, cj + dy, ck + dz, axis), len(vert_ids))
-
-    for ci, cj, ck in cells:
-        tri_row = TRI_TABLE[case[ci, cj, ck]]
-        for k in range(0, 16, 3):
-            if tri_row[k] < 0:
-                break
-            ids = tuple(edge_vertex(ci, cj, ck, tri_row[k + o]) for o in range(3))
-            if len(set(ids)) == 3:
-                tris.append(ids)
-
-    keys = np.array(list(vert_ids), dtype=np.int64).reshape(-1, 4)
-    vertices = np.column_stack([nodes[i][keys[:, i]] for i in range(3)])
+    vertices = np.column_stack([nodes[i][v_lo[:, i]] for i in range(3)])
     for axis in range(3):
-        rows = np.flatnonzero(keys[:, 3] == axis)
-        lo = keys[rows, :3]
+        rows = np.flatnonzero(v_axis == axis)
+        lo = v_lo[rows]
         hi = lo.copy()
         hi[:, axis] += 1
         va, vb = F[tuple(lo.T)], F[tuple(hi.T)]
@@ -334,7 +326,6 @@ def marching_cubes(surface: SeparableSurface, grid: GridSpec) -> Mesh:
         target = -(vals[o1][lo[:, o1]] + vals[o2][lo[:, o2]])
         vertices[rows, axis] = _polish_on_edges(
             comps[axis], t, ta, tb, vals[axis][lo[:, axis]], target)
-    triangles = np.array(tris, dtype=np.int64) if tris else np.empty((0, 3), dtype=np.int64)
 
     return Mesh(vertices, triangles, curvature_batch(surface, vertices),
                 skipped_cells=skipped, grid=grid)

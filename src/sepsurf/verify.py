@@ -522,11 +522,8 @@ def _constant_K_entries(entries):
     return [e for e in entries if e.K is not None]
 
 
-def _suite_geometry(report: TheoremCheckReport, seed: int) -> None:
+def _suite_geometry(report: TheoremCheckReport, seed: int, entries, samples) -> None:
     rng = np.random.default_rng(seed)
-    entries = catalog(seed)
-    samples = {e.name: collect_samples(e.surface, e.box, 1000, seed=seed, axis=e.axis)
-               for e in entries}
 
     # two curvature routes agree
     worst, count = 0.0, 0
@@ -629,11 +626,8 @@ def _lemma_directional_check(surface: SeparableSurface, pts: np.ndarray,
     return float(np.max(err, initial=0.0)), len(err)
 
 
-def _suite_families(report: TheoremCheckReport, seed: int) -> None:
+def _suite_families(report: TheoremCheckReport, seed: int, entries, samples) -> None:
     rng = np.random.default_rng(seed + 1)
-    entries = catalog(seed)
-    samples = {e.name: collect_samples(e.surface, e.box, 1000, seed=seed, axis=e.axis)
-               for e in entries}
 
     # every sampled point satisfies the implicit equation
     worst, count = 0.0, 0
@@ -776,10 +770,15 @@ def run_theorem_suite(suite: str = "all", seed: int = 42) -> TheoremCheckReport:
     if suite not in ("all", "geometry", "families", "classifier"):
         raise ValueError(f"unknown suite {suite!r}")
     report = TheoremCheckReport(suite=suite, seed=seed, checks=[])
+    if suite != "classifier":
+        # the geometry and families suites check the same catalog samples
+        entries = catalog(seed)
+        samples = {e.name: collect_samples(e.surface, e.box, 1000, seed=seed, axis=e.axis)
+                   for e in entries}
     if suite in ("all", "geometry"):
-        _suite_geometry(report, seed)
+        _suite_geometry(report, seed, entries, samples)
     if suite in ("all", "families"):
-        _suite_families(report, seed)
+        _suite_families(report, seed, entries, samples)
     if suite in ("all", "classifier"):
         _suite_classifier(report, seed)
     return report

@@ -1,4 +1,4 @@
-"""Shared test helpers: random expression trees and three oracles.
+"""Shared test helpers: random expression trees and four oracles.
 
 ``eval_math`` is a scalar evaluator over the ``math`` module, written apart
 from the library's numpy evaluator so that the two can be compared.
@@ -7,6 +7,11 @@ from the library's numpy evaluator so that the two can be compared.
 scan, bisection and Newton polish as ``sampler._solve_targets``, but the
 roots of each column are picked out, sorted and de-duplicated one column at
 a time, and the points are built one by one.
+
+``marching_cubes_loop`` is marching cubes as a per-cell loop: each active
+cell's table row is walked slot by slot and a dict keyed by (grid corner,
+axis) numbers the vertices by first occurrence; degenerate triangles are
+dropped.  Vertex placement and curvature reuse the library's batched pass.
 
 The finite-difference oracle is pure central differencing of the expression
 itself, evaluated in extended precision so that stencil roundoff stays far
@@ -20,6 +25,8 @@ import math
 import numpy as np
 
 from sepsurf import sampler
+from sepsurf._mc_tables import CORNER_OFFSETS, CORNER_PAIRS, TRI_TABLE
+from sepsurf.geometry import curvature_batch
 from sepsurf.expr import (
     Binary,
     Const,
@@ -226,3 +233,64 @@ def solve_many_loop(surface, c1, c2, window=None, axis=2):
             p[axis] = float(r)
             pts.append(p)
     return np.array(pts) if pts else np.empty((0, 3))
+
+
+def marching_cubes_loop(surface, grid):
+    """``sampler.marching_cubes`` with the per-cell loop and dict vertex cache."""
+    x0, x1, y0, y1, z0, z1 = grid.box
+    nodes = (np.linspace(x0, x1, grid.nx + 1),
+             np.linspace(y0, y1, grid.ny + 1),
+             np.linspace(z0, z1, grid.nz + 1))
+    comps = surface.components
+    vals = [c.value_array(n) for c, n in zip(comps, nodes)]
+    F = vals[0][:, None, None] + vals[1][None, :, None] + vals[2][None, None, :]
+    inside = F < 0.0
+    finite = np.isfinite(F)
+
+    case = np.zeros((grid.nx, grid.ny, grid.nz), dtype=np.int32)
+    ok = np.ones_like(case, dtype=bool)
+    for bit, (dx, dy, dz) in enumerate(CORNER_OFFSETS):
+        case |= inside[dx:grid.nx + dx, dy:grid.ny + dy, dz:grid.nz + dz].astype(np.int32) << bit
+        ok &= finite[dx:grid.nx + dx, dy:grid.ny + dy, dz:grid.nz + dz]
+    active = ok & (case != 0) & (case != 255)
+    skipped = int(np.count_nonzero(~ok))
+
+    edge_lo = []
+    for a, b in CORNER_PAIRS:
+        oa, ob = CORNER_OFFSETS[a], CORNER_OFFSETS[b]
+        edge_lo.append((tuple(min(u, v) for u, v in zip(oa, ob)),
+                        next(i for i in range(3) if oa[i] != ob[i])))
+    vert_ids = {}
+    tris = []
+    for ci, cj, ck in np.argwhere(active):
+        tri_row = TRI_TABLE[case[ci, cj, ck]]
+        for k in range(0, 16, 3):
+            if tri_row[k] < 0:
+                break
+            ids = []
+            for o in range(3):
+                (dx, dy, dz), axis = edge_lo[tri_row[k + o]]
+                key = (ci + dx, cj + dy, ck + dz, axis)
+                ids.append(vert_ids.setdefault(key, len(vert_ids)))
+            if len(set(ids)) == 3:
+                tris.append(ids)
+
+    keys = np.array(list(vert_ids), dtype=np.int64).reshape(-1, 4)
+    vertices = np.column_stack([nodes[i][keys[:, i]] for i in range(3)])
+    for axis in range(3):
+        rows = np.flatnonzero(keys[:, 3] == axis)
+        lo = keys[rows, :3]
+        hi = lo.copy()
+        hi[:, axis] += 1
+        va, vb = F[tuple(lo.T)], F[tuple(hi.T)]
+        ta, tb = nodes[axis][lo[:, axis]], nodes[axis][hi[:, axis]]
+        with np.errstate(all="ignore"):
+            t = np.where(vb == va, ta, ta + (tb - ta) * (0.0 - va) / (vb - va))
+        t = np.minimum(np.maximum(t, ta), tb)
+        o1, o2 = (i for i in range(3) if i != axis)
+        target = -(vals[o1][lo[:, o1]] + vals[o2][lo[:, o2]])
+        vertices[rows, axis] = sampler._polish_on_edges(
+            comps[axis], t, ta, tb, vals[axis][lo[:, axis]], target)
+    triangles = np.array(tris, dtype=np.int64) if tris else np.empty((0, 3), dtype=np.int64)
+    return sampler.Mesh(vertices, triangles, curvature_batch(surface, vertices),
+                        skipped_cells=skipped, grid=grid)

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -191,3 +192,13 @@ def test_long_flat_operator_chain_exits_one(capsys):
     err = capsys.readouterr().err
     assert rc == 1
     assert "tokens" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("op", ["*", "/"])
+def test_long_product_chain_exits_one_quickly(capsys, op):
+    start = time.perf_counter()
+    rc = main(["curvature", "--f=" + op.join(["x"] * 128), "--g", "y", "--h", "z"])
+    err = capsys.readouterr().err
+    assert time.perf_counter() - start < 2.0
+    assert rc == 1
+    assert "derivative tree" in err and "Traceback" not in err

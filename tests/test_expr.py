@@ -1,4 +1,6 @@
 import math
+import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from sepsurf.expr import (
     Binary,
     Const,
     EvalDomainError,
+    MAX_DERIV_NODES,
     MAX_NESTING,
     MAX_TOKENS,
     Func1D,
@@ -114,6 +117,35 @@ def test_parse_bounds_flat_chains_by_token_count(op):
     for src in ("--" + chain, op.join(["x"] * 3000)):
         with pytest.raises(ParseError, match="tokens"):
             parse_expr(src)
+
+
+@pytest.mark.parametrize("op", ["*", "/"])
+def test_derivative_trees_are_bounded(op):
+    # three orders grow product and quotient chains about as n^4
+    Func1D.parse(op.join(["x"] * 10))
+    with pytest.raises(ParseError, match=f"larger than {MAX_DERIV_NODES} nodes"):
+        Func1D.parse(op.join(["x"] * (MAX_TOKENS // 2)))
+
+
+def test_reference_expressions_fit_the_derivative_budget(monkeypatch):
+    from sepsurf.families import PRESETS, build_surface
+    from sepsurf.verify import FAMILY_TAGS, catalog, random_family
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    from workloads import EXPR_POOL
+
+    rng = random.Random(0)
+    for _ in range(10):
+        for make in EXPR_POOL:
+            for var in "xyz":
+                Func1D.parse(make(rng, var)[0], var)
+    for spec in PRESETS.values():
+        build_surface(spec)
+    assert len(catalog()) == 12
+    np_rng = np.random.default_rng(0)
+    for tag in FAMILY_TAGS:
+        for _ in range(3):
+            build_surface(random_family(tag, np_rng)[0])
 
 
 # -- evaluation -----------------------------------------------------------------

@@ -3,9 +3,10 @@ import math
 
 import numpy as np
 import pytest
-from conftest import solve_many_loop
+from conftest import marching_cubes_loop, solve_many_loop
 
 from sepsurf import sampler
+from sepsurf._mc_tables import CORNER_OFFSETS, CORNER_PAIRS, EDGE_AXIS, EDGE_LO, TRI_TABLE
 from sepsurf.expr import Func1D
 from sepsurf.families import preset_box, preset_surface
 from sepsurf.geometry import SeparableSurface
@@ -280,15 +281,71 @@ def _edge_defects(mesh, box):
 def test_meshes_are_manifold_with_boundary_on_box_faces():
     from sepsurf.verify import catalog
 
-    cases = [(preset_surface(n), preset_box(n))
-             for n in ("paper-fig1-left", "paper-fig1-middle", "paper-fig1-right")]
-    cases += [(e.surface, e.box) for e in catalog()
-              if e.name in ("spindle-K1", "rotational-Kneg1")]
-    assert len(cases) == 5
-    for surf, box in cases:
-        mesh = marching_cubes(surf, GridSpec(box=tuple(box), nx=32, ny=32, nz=32))
-        assert len(mesh.triangles) > 100
-        assert _edge_defects(mesh, box) == (0, 0)
+    entries = catalog()
+    assert len(entries) == 12
+    for e in entries:
+        mesh = marching_cubes(e.surface, GridSpec(box=tuple(e.box), nx=32, ny=32, nz=32))
+        assert len(mesh.triangles) > 100, e.name
+        assert _edge_defects(mesh, e.box) == (0, 0), e.name
+
+
+def _preset_case(name):
+    return preset_surface(name), GridSpec(box=preset_box(name), nx=32, ny=32, nz=32)
+
+
+def _catalog_case(name):
+    from sepsurf.verify import catalog
+
+    e = next(e for e in catalog() if e.name == name)
+    return e.surface, GridSpec(box=tuple(e.box), nx=24, ny=24, nz=24)
+
+
+_MESH_CASES = {
+    **{n: (lambda n=n: _preset_case(n))
+       for n in ("paper-fig1-left", "paper-fig1-middle", "paper-fig1-right")},
+    "sphere": lambda: (sphere(), GridSpec(box=(-1.05, 1.05) * 3, nx=24, ny=24, nz=24)),
+    # unequal resolutions catch a wrong stride in the global edge ids
+    "sphere-13x17x11": lambda: (sphere(), GridSpec(box=(-1.1, 0.9, -1.2, 1.0, -0.7, 1.05),
+                                                   nx=13, ny=17, nz=11)),
+    "domain-skip": lambda: (preset_surface("paper-fig1-left"),
+                            GridSpec(box=(-0.2, 2.0, 0.3, 2.0, 0.3, 2.0), nx=16, ny=16, nz=16)),
+    "no-crossing": lambda: (sphere(), GridSpec(box=(2.0, 3.0) * 3, nx=8, ny=8, nz=8)),
+    "rotational-Kneg1": lambda: _catalog_case("rotational-Kneg1"),
+}
+
+
+@pytest.mark.parametrize("name", list(_MESH_CASES))
+def test_marching_cubes_matches_loop(name):
+    surface, grid = _MESH_CASES[name]()
+    mesh, expected = marching_cubes(surface, grid), marching_cubes_loop(surface, grid)
+    assert mesh.vertices.dtype == np.float64 and mesh.triangles.dtype == np.int64
+    assert _same_bits(mesh.vertices, expected.vertices)
+    assert _same_bits(mesh.triangles, expected.triangles)
+    assert _same_bits(mesh.vertex_K, expected.vertex_K)
+    assert mesh.skipped_cells == expected.skipped_cells
+    if name == "no-crossing":
+        assert mesh.vertices.shape == (0, 3) and mesh.triangles.shape == (0, 3)
+    else:
+        assert len(mesh.triangles) > 20
+    if name == "domain-skip":
+        assert mesh.skipped_cells > 0
+
+
+def test_triangle_table_rows_cut_their_case():
+    corners = np.array(CORNER_OFFSETS)
+    ends = np.array(CORNER_PAIRS)
+    assert TRI_TABLE.shape == (256, 16)
+    assert np.array_equal(EDGE_LO, corners[ends].min(axis=1))
+    assert np.array_equal(corners[ends[:, 1]] - corners[ends[:, 0]] != 0,
+                          np.eye(3, dtype=bool)[EDGE_AXIS])
+    for c, row in enumerate(TRI_TABLE):
+        used = row[row >= 0]
+        assert len(used) % 3 == 0 and np.all(row[len(used):] == -1), c
+        inside = [(c >> bit) & 1 for bit in range(8)]
+        for e in used:
+            a, b = CORNER_PAIRS[e]
+            assert inside[a] != inside[b], (c, e)
+    assert np.all(TRI_TABLE[[0, 255]] == -1) and np.all(TRI_TABLE[1:255, 0] >= 0)
 
 
 # -- exporters ----------------------------------------------------------------------

@@ -205,3 +205,19 @@ def test_suite_report_json_deterministic():
 def test_unknown_suite_rejected():
     with pytest.raises(ValueError):
         run_theorem_suite("everything")
+
+
+def test_suite_all_samples_the_catalog_once(monkeypatch):
+    from sepsurf import verify
+
+    calls, seen = [], []
+    real = verify.collect_samples
+    monkeypatch.setattr(verify, "collect_samples",
+                        lambda *a, **k: calls.append(a[2]) or real(*a, **k))
+    for name in ("_suite_geometry", "_suite_families"):
+        monkeypatch.setattr(verify, name, lambda report, seed, entries, samples:
+                            seen.append((len(entries), samples)))
+    monkeypatch.setattr(verify, "_suite_classifier", lambda report, seed: None)
+    run_theorem_suite("all", seed=42)
+    assert calls == [1000] * 12
+    assert len(seen) == 2 and seen[0][1] is seen[1][1] and seen[0][0] == 12
