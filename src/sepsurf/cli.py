@@ -63,13 +63,9 @@ def _load_spec(arg: str) -> fam.FamilySpec:
 def _surface_from_args(args) -> tuple[SeparableSurface, tuple, dict]:
     """Surface, box and a JSON description from --spec/--preset or --f/--g/--h."""
     if getattr(args, "preset", None):
-        spec = fam.PRESETS[args.preset] if args.preset in fam.PRESETS else None
-        if spec is None:
-            raise fam.InvalidFamilyError(
-                f"unknown preset {args.preset!r}; choose from {sorted(fam.PRESETS)}")
-        surface = fam.build_surface(spec)
+        surface = fam.preset_surface(args.preset)
         box = args.box or fam.preset_box(args.preset)
-        desc = {"preset": args.preset, "spec": fam.family_to_json(spec)}
+        desc = {"preset": args.preset, "spec": fam.family_to_json(fam.PRESETS[args.preset])}
         return surface, box, desc
     if getattr(args, "spec", None):
         spec = _load_spec(args.spec)

@@ -1,8 +1,11 @@
 """Constructors for the classified surface families.
 
-Each family is a small parameter record (``FamilySpec``) that a single
-dispatcher, ``build_surface``, turns into a ``SeparableSurface`` with
-domains restricted so every component expression is real and regular:
+Each family is a small frozen parameter class (``FamilySpec``) that carries
+its own rules: ``_build`` makes the ``SeparableSurface`` (domains restricted
+so every component expression is real and regular), ``_box`` the default
+sampling box, and ``_params``/``_from_params`` the JSON params.
+``build_surface``, ``admissible_box``, ``family_to_json`` and
+``family_from_json`` reach them through one tag registry.  The families:
 
 * right cylinders, translation surfaces, rotational surfaces (the three
   elementary shapes),
@@ -20,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, get_args
 
 import numpy as np
 
@@ -90,6 +93,21 @@ def _require(cond: bool, message: str) -> None:
         raise InvalidFamilyError(message)
 
 
+def _triple(spec, name: str, cast=float) -> None:
+    """Store field ``name`` of a frozen spec as a tuple of three ``cast`` values."""
+    values = tuple(cast(v) for v in getattr(spec, name))
+    _require(len(values) == 3, f"{name} must have exactly 3 entries")
+    object.__setattr__(spec, name, values)
+
+
+def _check_profile_args(K: float, r0: float, dr0: float, arc_span: float) -> None:
+    _require(K != 0.0, "K must be nonzero")
+    _require(r0 > 0.0, "r0 must be positive")
+    # |dr0| = 1 makes the profile vertical at the start, so strictly below
+    _require(abs(dr0) < 1.0, "|dr0| must be < 1")
+    _require(arc_span > 0.0, "arc_span must be positive")
+
+
 @dataclass(frozen=True)
 class RightCylinder:
     """f(c1) + g(c2) + a = 0 over the two coordinates present in ``plane``'s
@@ -105,6 +123,39 @@ class RightCylinder:
     def __post_init__(self):
         _require(self.plane in ("x", "y", "z"), "plane must be one of x, y, z")
 
+    def _build(self) -> SeparableSurface:
+        present = [c for c in "xyz" if c != self.plane]
+        parts = {}
+        parts[present[0]] = _rebind(self.f, present[0])
+        parts[present[1]] = _rebind(self.g, present[1])
+        parts[self.plane] = Func1D(Const(float(self.a)), var=self.plane)
+        surf = SeparableSurface(parts["x"], parts["y"], parts["z"],
+                                name=f"right-cylinder[{self.plane} absent]")
+        surf.preferred_axis = {"z": 1, "y": 2, "x": 2}[self.plane]
+        return surf
+
+    def _box(self) -> Box:
+        surf = build_surface(self)
+        wins = [
+            _window(comp.domain, -1.5, 1.5, 1e-6) for comp in surf.components
+        ]
+        return tuple(v for w in wins for v in w)
+
+    def _params(self) -> dict:
+        return {"f": _func_json(self.f), "g": _func_json(self.g),
+                "a": self.a, "plane": self.plane}
+
+    @classmethod
+    def _from_params(cls, params: dict) -> RightCylinder:
+        plane = params.get("plane", "z")
+        present = [c for c in "xyz" if c != plane]
+        return cls(
+            f=_func_field(params["f"], present[0]),
+            g=_func_field(params["g"], present[1]),
+            a=float(params.get("a", 0.0)),
+            plane=plane,
+        )
+
 
 @dataclass(frozen=True)
 class Translation:
@@ -118,6 +169,33 @@ class Translation:
     def __post_init__(self):
         _require(self.a != 0.0, "slope a must be nonzero (a = 0 is a right cylinder)")
 
+    def _build(self) -> SeparableSurface:
+        f = Func1D.parse(f"{_r(self.a)}*x", "x")
+        g = _rebind(self.g, "y")
+        h = Func1D.parse("-z", "z")
+        surf = SeparableSurface(f, g, h, name=f"translation[a={self.a:g}]")
+        surf.preferred_axis = 2
+        return surf
+
+    def _box(self) -> Box:
+        surf = build_surface(self)
+        gx = _window(surf.g.domain, -1.2, 1.2, 1e-6)
+        xs = np.linspace(-1.2, 1.2, 13)
+        ys = np.linspace(gx[0], gx[1], 13)
+        zs = self.a * xs[:, None] + surf.g.value_array(ys)[None, :]
+        zs = zs[np.isfinite(zs)]
+        if zs.size == 0:
+            raise InvalidFamilyError("translation surface has no graph over the window")
+        pad = 0.05 * (zs.max() - zs.min() + 1.0)
+        return (-1.2, 1.2, gx[0], gx[1], float(zs.min() - pad), float(zs.max() + pad))
+
+    def _params(self) -> dict:
+        return {"a": self.a, "g": _func_json(self.g)}
+
+    @classmethod
+    def _from_params(cls, params: dict) -> Translation:
+        return cls(a=float(params["a"]), g=_func_field(params["g"], "y"))
+
 
 @dataclass(frozen=True)
 class RotationalParabolic:
@@ -129,6 +207,31 @@ class RotationalParabolic:
     h: Func1D
 
     tag = "rotational-parabolic"
+
+    def _build(self) -> SeparableSurface:
+        f = Func1D.parse(f"x^2+{_r(self.a)}*x", "x")
+        g = Func1D.parse(f"y^2+{_r(self.b)}*y", "y")
+        hz = _rebind(self.h, "z")
+        # h-component of F is c - h(z)
+        h = Func1D(Binary("sub", Const(float(self.c)), hz.ast), hz.domain, "z")
+        surf = SeparableSurface(f, g, h, name="rotational-parabolic")
+        surf.preferred_axis = 2
+        return surf
+
+    def _box(self) -> Box:
+        surf = build_surface(self)
+        hz = _window(surf.h.domain, -1.0, 1.0, 1e-9)
+        return (-2.0, 2.0, -2.0, 2.0, hz[0], hz[1])
+
+    def _params(self) -> dict:
+        return {"a": self.a, "b": self.b, "c": self.c, "h": _func_json(self.h)}
+
+    @classmethod
+    def _from_params(cls, params: dict) -> RotationalParabolic:
+        return cls(
+            a=float(params.get("a", 0.0)), b=float(params.get("b", 0.0)),
+            c=float(params.get("c", 0.0)), h=_func_field(params["h"], "z"),
+        )
 
 
 @dataclass(frozen=True)
@@ -149,11 +252,37 @@ class RotationalCGC:
     tag = "rotational-cgc"
 
     def __post_init__(self):
-        _require(self.K != 0.0, "K must be nonzero")
-        _require(self.r0 > 0.0, "r0 must be positive")
-        # |dr0| = 1 makes the profile vertical at the start, so strictly below
-        _require(abs(self.dr0) < 1.0, "|dr0| must be < 1")
-        _require(self.arc_span > 0.0, "arc_span must be positive")
+        _check_profile_args(self.K, self.r0, self.dr0, self.arc_span)
+
+    def _build(self) -> SeparableSurface:
+        tab = rotational_profile(self.K, self.r0, self.dr0, self.arc_span, self.step)
+        f = Func1D.parse("x^2", "x")
+        g = Func1D.parse("y^2", "y")
+        surf = SeparableSurface(f, g, tab, name=f"rotational-cgc[K={self.K:g}]")
+        surf.preferred_axis = 2
+        return surf
+
+    def _box(self) -> Box:
+        surf = build_surface(self)
+        tab = surf.h
+        zlo, zhi = tab.domain
+        dz = 0.02 * (zhi - zlo)
+        rmax = float(np.max(tab.profile_nodes["r"]))
+        w = 0.72 * rmax
+        return (-w, w, -w, w, zlo + dz, zhi - dz)
+
+    def _params(self) -> dict:
+        return {"K": self.K, "r0": self.r0, "dr0": self.dr0,
+                "arc_span": self.arc_span, "step": self.step}
+
+    @classmethod
+    def _from_params(cls, params: dict) -> RotationalCGC:
+        return cls(
+            K=float(params["K"]), r0=float(params["r0"]),
+            dr0=float(params.get("dr0", 0.0)),
+            arc_span=float(params.get("arc_span", 3.0)),
+            step=None if params.get("step") is None else float(params["step"]),
+        )
 
 
 @dataclass(frozen=True)
@@ -168,8 +297,8 @@ class GeneralizedCone:
     tag = "generalized-cone"
 
     def __post_init__(self):
-        object.__setattr__(self, "m", tuple(float(v) for v in self.m))
-        object.__setattr__(self, "n", tuple(float(v) for v in self.n))
+        _triple(self, "m")
+        _triple(self, "n")
         _require(all(v != 0.0 for v in self.m), "all m coefficients must be nonzero")
         _require(self.p not in (0.0, 1.0), "p (and q = 1 - p) must be nonzero")
 
@@ -180,6 +309,32 @@ class GeneralizedCone:
     @property
     def apex(self) -> tuple[float, float, float]:
         return tuple(-n / m for m, n in zip(self.m, self.n))
+
+    def _build(self) -> SeparableSurface:
+        a, b, c = self.p, self.q, -1.0
+        comps = []
+        for coeff, m, n, var in zip((a, b, c), self.m, self.n, "xyz"):
+            src = f"{_r(-coeff)}*log({_affine_src(m, n, var)})"
+            comps.append(Func1D.parse(src, var, _chart_domain(m, n, +1)))
+        surf = SeparableSurface(*comps, name=f"generalized-cone[p={self.p:g}]")
+        surf.preferred_axis = 2
+        return surf
+
+    def _box(self) -> Box:
+        # all bases over [0.5, 2]: the z base s1^p s2^q passes through 1
+        # when s1 = s2 = 1, so the box always contains a patch
+        wins = [_base_window(m, n, +1) for m, n in zip(self.m, self.n)]
+        return tuple(v for w in wins for v in w)
+
+    def _params(self) -> dict:
+        return {"p": self.p, "q": self.q, "m": list(self.m), "n": list(self.n)}
+
+    @classmethod
+    def _from_params(cls, params: dict) -> GeneralizedCone:
+        spec = cls(p=float(params["p"]), m=params["m"], n=params.get("n", (0.0, 0.0, 0.0)))
+        if "q" in params and float(params["q"]) != spec.q:
+            raise InvalidFamilyError("q must equal 1 - p")
+        return spec
 
 
 @dataclass(frozen=True)
@@ -193,8 +348,8 @@ class ExpCylinder:
     tag = "exp-cylinder"
 
     def __post_init__(self):
-        object.__setattr__(self, "m", tuple(float(v) for v in self.m))
-        object.__setattr__(self, "n", tuple(float(v) for v in self.n))
+        _triple(self, "m")
+        _triple(self, "n")
         _require(all(v != 0.0 for v in self.m), "all m coefficients must be nonzero")
         _require(all(v != 0.0 for v in self.n), "all n coefficients must be nonzero")
         _require(
@@ -205,6 +360,39 @@ class ExpCylinder:
     @property
     def generator(self) -> tuple[float, float, float]:
         return (1.0 / self.m[0], 1.0 / self.m[1], 1.0 / self.m[2])
+
+    def _build(self) -> SeparableSurface:
+        comps = []
+        for m, n, var in zip(self.m, self.n, "xyz"):
+            comps.append(Func1D.parse(f"{_r(n)}*exp({_r(m)}*{var})", var))
+        surf = SeparableSurface(*comps, name="exp-cylinder")
+        surf.preferred_axis = 2
+        return surf
+
+    def _probe_z(self) -> np.ndarray:
+        """z over a 17 x 17 probe grid of columns on [-1.2, 1.2]^2; NaN where none."""
+        xs = np.linspace(-1.2, 1.2, 17)
+        m1, m2, m3 = self.m
+        n1, n2, n3 = self.n
+        t = -(n1 * np.exp(m1 * xs[:, None]) + n2 * np.exp(m2 * xs[None, :]))
+        with np.errstate(all="ignore"):
+            return np.log(t / n3) / m3
+
+    def _box(self) -> Box:
+        # solve the z term analytically over a probe grid to bound the window
+        z = self._probe_z()
+        z = z[np.isfinite(z)]
+        if z.size == 0:
+            raise InvalidFamilyError("no solvable columns over the probe window")
+        pad = 0.05 * (float(z.max()) - float(z.min()) + 0.2)
+        return (-1.2, 1.2, -1.2, 1.2, float(z.min()) - pad, float(z.max()) + pad)
+
+    def _params(self) -> dict:
+        return {"m": list(self.m), "n": list(self.n)}
+
+    @classmethod
+    def _from_params(cls, params: dict) -> ExpCylinder:
+        return cls(m=params["m"], n=params["n"])
 
 
 @dataclass(frozen=True)
@@ -226,10 +414,10 @@ class ConicalPower:
     tag = "conical-power"
 
     def __post_init__(self):
-        object.__setattr__(self, "m", tuple(float(v) for v in self.m))
-        object.__setattr__(self, "n", tuple(float(v) for v in self.n))
+        _triple(self, "m")
+        _triple(self, "n")
         if self.signs is not None:
-            object.__setattr__(self, "signs", tuple(int(s) for s in self.signs))
+            _triple(self, "signs", int)
             _require(all(s in (-1, 1) for s in self.signs), "signs must be +-1")
             _require(
                 min(self.signs) < max(self.signs),
@@ -247,6 +435,66 @@ class ConicalPower:
     def apex(self) -> tuple[float, float, float]:
         return tuple(-n / m for m, n in zip(self.m, self.n))
 
+    def _layout(self) -> list[tuple[int, int]]:
+        """Per-axis (eps term sign, chart side)."""
+        alpha = self.exponent
+        near = round(alpha)
+        is_int = abs(alpha - near) <= 1e-9 and abs(near) >= 1
+        if self.signs is not None:
+            return [(s, +1) for s in self.signs]
+        if is_int:
+            if near % 2 == 0:
+                if near > 0:
+                    raise DegenerateSurfaceError(
+                        "even positive exponent: the canonical zero set is only the apex point"
+                    )
+                raise DegenerateSurfaceError(
+                    "even negative exponent: the canonical zero set is empty"
+                )
+            # odd exponent: negative chart on the last axis supplies the sign
+            return [(+1, +1), (+1, +1), (+1, -1)]
+        # non-integer exponent: explicit minus sign on the last term
+        return [(+1, +1), (+1, +1), (-1, +1)]
+
+    def _build(self) -> SeparableSurface:
+        alpha = self.exponent
+        layout = self._layout()
+        comps = []
+        for (eps, side), m, n, var in zip(layout, self.m, self.n, "xyz"):
+            base = f"({_affine_src(m, n, var)})^({_r(alpha)})"
+            src = base if eps > 0 else f"-{base}"
+            comps.append(Func1D.parse(src, var, _chart_domain(m, n, side)))
+        surf = SeparableSurface(*comps, name=f"conical-power[k={self.k:g}]")
+        surf.preferred_axis = 2
+        return surf
+
+    def _box(self) -> Box:
+        # same idea as the generalized cone: the third term's magnitude
+        # equals the sum of the first two
+        layout = self._layout()
+        alpha = self.exponent
+        t_lo, t_hi = sorted((0.5 ** alpha, 2.0 ** alpha))
+        s_lo, s_hi = sorted(((2 * t_lo) ** (1 / alpha), (2 * t_hi) ** (1 / alpha)))
+        wins = [
+            _base_window(self.m[0], self.n[0], layout[0][1]),
+            _base_window(self.m[1], self.n[1], layout[1][1]),
+            _base_window(self.m[2], self.n[2], layout[2][1], 0.98 * s_lo, 1.02 * s_hi),
+        ]
+        return tuple(v for w in wins for v in w)
+
+    def _params(self) -> dict:
+        params = {"k": self.k, "m": list(self.m), "n": list(self.n)}
+        if self.signs is not None:
+            params["signs"] = list(self.signs)
+        return params
+
+    @classmethod
+    def _from_params(cls, params: dict) -> ConicalPower:
+        return cls(
+            k=float(params["k"]), m=params["m"],
+            n=params.get("n", (0.0, 0.0, 0.0)), signs=params.get("signs"),
+        )
+
 
 FamilySpec = (
     RightCylinder
@@ -258,18 +506,7 @@ FamilySpec = (
     | ConicalPower
 )
 
-_TAGS = {
-    cls.tag: cls
-    for cls in (
-        RightCylinder,
-        Translation,
-        RotationalParabolic,
-        RotationalCGC,
-        GeneralizedCone,
-        ExpCylinder,
-        ConicalPower,
-    )
-}
+_TAGS = {cls.tag: cls for cls in get_args(FamilySpec)}
 
 
 # -- tabulated functions --------------------------------------------------------
@@ -393,14 +630,7 @@ def rotational_profile(K: float, r0: float, dr0: float, arc_span: float = 3.0,
     of h are computed in closed form from (r, r'), so only the interpolant
     between nodes is approximate.
     """
-    if K == 0.0:
-        raise InvalidFamilyError("K must be nonzero")
-    if r0 <= 0.0:
-        raise InvalidFamilyError("r0 must be positive")
-    if abs(dr0) >= 1.0:
-        raise InvalidFamilyError("|dr0| must be < 1")
-    if arc_span <= 0.0:
-        raise InvalidFamilyError("arc_span must be positive")
+    _check_profile_args(K, r0, dr0, arc_span)
     if step is None:
         step = 1e-3 * arc_span
     if step > 1e-3 * arc_span * (1 + 1e-12):
@@ -490,43 +720,6 @@ def _chart_domain(m: float, n: float, side: int) -> tuple[float, float]:
     return (-math.inf, edge)
 
 
-# -- build_surface ----------------------------------------------------------------
-
-
-def build_surface(spec: FamilySpec) -> SeparableSurface:
-    """Realize a family spec as a SeparableSurface with admissible domains."""
-    if isinstance(spec, RightCylinder):
-        surf = _build_right_cylinder(spec)
-    elif isinstance(spec, Translation):
-        surf = _build_translation(spec)
-    elif isinstance(spec, RotationalParabolic):
-        surf = _build_rotational_parabolic(spec)
-    elif isinstance(spec, RotationalCGC):
-        surf = _build_rotational_cgc(spec)
-    elif isinstance(spec, GeneralizedCone):
-        surf = _build_generalized_cone(spec)
-    elif isinstance(spec, ExpCylinder):
-        surf = _build_exp_cylinder(spec)
-    elif isinstance(spec, ConicalPower):
-        surf = _build_conical_power(spec)
-    else:
-        raise InvalidFamilyError(f"unknown family spec {spec!r}")
-    surf.family_spec = spec
-    return surf
-
-
-def _build_right_cylinder(spec: RightCylinder) -> SeparableSurface:
-    present = [c for c in "xyz" if c != spec.plane]
-    parts = {}
-    parts[present[0]] = _rebind(spec.f, present[0])
-    parts[present[1]] = _rebind(spec.g, present[1])
-    parts[spec.plane] = Func1D(Const(float(spec.a)), var=spec.plane)
-    surf = SeparableSurface(parts["x"], parts["y"], parts["z"],
-                            name=f"right-cylinder[{spec.plane} absent]")
-    surf.preferred_axis = {"z": 1, "y": 2, "x": 2}[spec.plane]
-    return surf
-
-
 def _rebind(f: Func1D, var: str) -> Func1D:
     if f.var == var:
         return f
@@ -545,91 +738,7 @@ def _rename_var(node, var: str):
     return Binary(node.op, _rename_var(node.lhs, var), _rename_var(node.rhs, var))
 
 
-def _build_translation(spec: Translation) -> SeparableSurface:
-    f = Func1D.parse(f"{_r(spec.a)}*x", "x")
-    g = _rebind(spec.g, "y")
-    h = Func1D.parse("-z", "z")
-    surf = SeparableSurface(f, g, h, name=f"translation[a={spec.a:g}]")
-    surf.preferred_axis = 2
-    return surf
-
-
-def _build_rotational_parabolic(spec: RotationalParabolic) -> SeparableSurface:
-    f = Func1D.parse(f"x^2+{_r(spec.a)}*x", "x")
-    g = Func1D.parse(f"y^2+{_r(spec.b)}*y", "y")
-    hz = _rebind(spec.h, "z")
-    # h-component of F is c - h(z)
-    h = Func1D(Binary("sub", Const(float(spec.c)), hz.ast), hz.domain, "z")
-    surf = SeparableSurface(f, g, h, name="rotational-parabolic")
-    surf.preferred_axis = 2
-    return surf
-
-
-def _build_rotational_cgc(spec: RotationalCGC) -> SeparableSurface:
-    tab = rotational_profile(spec.K, spec.r0, spec.dr0, spec.arc_span, spec.step)
-    f = Func1D.parse("x^2", "x")
-    g = Func1D.parse("y^2", "y")
-    surf = SeparableSurface(f, g, tab, name=f"rotational-cgc[K={spec.K:g}]")
-    surf.preferred_axis = 2
-    return surf
-
-
-def _build_generalized_cone(spec: GeneralizedCone) -> SeparableSurface:
-    a, b, c = spec.p, spec.q, -1.0
-    comps = []
-    for coeff, m, n, var in zip((a, b, c), spec.m, spec.n, "xyz"):
-        src = f"{_r(-coeff)}*log({_affine_src(m, n, var)})"
-        comps.append(Func1D.parse(src, var, _chart_domain(m, n, +1)))
-    surf = SeparableSurface(*comps, name=f"generalized-cone[p={spec.p:g}]")
-    surf.preferred_axis = 2
-    return surf
-
-
-def _build_exp_cylinder(spec: ExpCylinder) -> SeparableSurface:
-    comps = []
-    for m, n, var in zip(spec.m, spec.n, "xyz"):
-        comps.append(Func1D.parse(f"{_r(n)}*exp({_r(m)}*{var})", var))
-    surf = SeparableSurface(*comps, name="exp-cylinder")
-    surf.preferred_axis = 2
-    return surf
-
-
-def _conical_layout(spec: ConicalPower) -> list[tuple[float, int, int]]:
-    """Per-axis (exponent sign data): (eps term sign, chart side)."""
-    alpha = spec.exponent
-    near = round(alpha)
-    is_int = abs(alpha - near) <= 1e-9 and abs(near) >= 1
-    if spec.signs is not None:
-        return [(s, +1) for s in spec.signs]
-    if is_int:
-        if near % 2 == 0:
-            if near > 0:
-                raise DegenerateSurfaceError(
-                    "even positive exponent: the canonical zero set is only the apex point"
-                )
-            raise DegenerateSurfaceError(
-                "even negative exponent: the canonical zero set is empty"
-            )
-        # odd exponent: negative chart on the last axis supplies the sign
-        return [(+1, +1), (+1, +1), (+1, -1)]
-    # non-integer exponent: explicit minus sign on the last term
-    return [(+1, +1), (+1, +1), (-1, +1)]
-
-
-def _build_conical_power(spec: ConicalPower) -> SeparableSurface:
-    alpha = spec.exponent
-    layout = _conical_layout(spec)
-    comps = []
-    for (eps, side), m, n, var in zip(layout, spec.m, spec.n, "xyz"):
-        base = f"({_affine_src(m, n, var)})^({_r(alpha)})"
-        src = base if eps > 0 else f"-{base}"
-        comps.append(Func1D.parse(src, var, _chart_domain(m, n, side)))
-    surf = SeparableSurface(*comps, name=f"conical-power[k={spec.k:g}]")
-    surf.preferred_axis = 2
-    return surf
-
-
-# -- admissible boxes -------------------------------------------------------------
+# -- box helpers ------------------------------------------------------------------
 
 
 def _window(dom: tuple[float, float], lo: float, hi: float,
@@ -651,152 +760,42 @@ def _base_window(m: float, n: float, side: int, lo: float = 0.5,
     return (min(a, b), max(a, b))
 
 
-def _exp_cylinder_probe_z(spec: ExpCylinder) -> np.ndarray:
-    """z over a 17 x 17 probe grid of columns on [-1.2, 1.2]^2; NaN where none."""
-    xs = np.linspace(-1.2, 1.2, 17)
-    m1, m2, m3 = spec.m
-    n1, n2, n3 = spec.n
-    t = -(n1 * np.exp(m1 * xs[:, None]) + n2 * np.exp(m2 * xs[None, :]))
-    with np.errstate(all="ignore"):
-        return np.log(t / n3) / m3
+# -- dispatch through the tag registry ---------------------------------------------
+
+
+def _checked(spec) -> FamilySpec:
+    if type(spec) not in _TAGS.values():
+        raise InvalidFamilyError(f"unknown family spec {spec!r}")
+    return spec
+
+
+def build_surface(spec: FamilySpec) -> SeparableSurface:
+    """Realize a family spec as a SeparableSurface with admissible domains."""
+    surf = _checked(spec)._build()
+    surf.family_spec = spec
+    return surf
 
 
 def admissible_box(spec: FamilySpec) -> Box:
     """Default sampling box: interior to the charts, containing a regular patch."""
-    if isinstance(spec, GeneralizedCone):
-        # all bases over [0.5, 2]: the z base s1^p s2^q passes through 1
-        # when s1 = s2 = 1, so the box always contains a patch
-        wins = [_base_window(m, n, +1) for m, n in zip(spec.m, spec.n)]
-        return tuple(v for w in wins for v in w)
-    if isinstance(spec, ConicalPower):
-        # same idea: the third term's magnitude equals the sum of the first two
-        layout = _conical_layout(spec)
-        alpha = spec.exponent
-        t_lo, t_hi = sorted((0.5 ** alpha, 2.0 ** alpha))
-        s_lo, s_hi = sorted(((2 * t_lo) ** (1 / alpha), (2 * t_hi) ** (1 / alpha)))
-        wins = [
-            _base_window(spec.m[0], spec.n[0], layout[0][1]),
-            _base_window(spec.m[1], spec.n[1], layout[1][1]),
-            _base_window(spec.m[2], spec.n[2], layout[2][1], 0.98 * s_lo, 1.02 * s_hi),
-        ]
-        return tuple(v for w in wins for v in w)
-    if isinstance(spec, ExpCylinder):
-        # solve the z term analytically over a probe grid to bound the window
-        z = _exp_cylinder_probe_z(spec)
-        z = z[np.isfinite(z)]
-        if z.size == 0:
-            raise InvalidFamilyError("no solvable columns over the probe window")
-        pad = 0.05 * (float(z.max()) - float(z.min()) + 0.2)
-        return (-1.2, 1.2, -1.2, 1.2, float(z.min()) - pad, float(z.max()) + pad)
-    if isinstance(spec, RotationalCGC):
-        surf = build_surface(spec)
-        tab = surf.h
-        zlo, zhi = tab.domain
-        dz = 0.02 * (zhi - zlo)
-        rmax = float(np.max(tab.profile_nodes["r"]))
-        w = 0.72 * rmax
-        return (-w, w, -w, w, zlo + dz, zhi - dz)
-    if isinstance(spec, Translation):
-        surf = build_surface(spec)
-        gx = _window(surf.g.domain, -1.2, 1.2, 1e-6)
-        xs = np.linspace(-1.2, 1.2, 13)
-        ys = np.linspace(gx[0], gx[1], 13)
-        zs = spec.a * xs[:, None] + surf.g.value_array(ys)[None, :]
-        zs = zs[np.isfinite(zs)]
-        if zs.size == 0:
-            raise InvalidFamilyError("translation surface has no graph over the window")
-        pad = 0.05 * (zs.max() - zs.min() + 1.0)
-        return (-1.2, 1.2, gx[0], gx[1], float(zs.min() - pad), float(zs.max() + pad))
-    if isinstance(spec, RightCylinder):
-        surf = build_surface(spec)
-        wins = [
-            _window(comp.domain, -1.5, 1.5, 1e-6) for comp in surf.components
-        ]
-        return tuple(v for w in wins for v in w)
-    if isinstance(spec, RotationalParabolic):
-        surf = build_surface(spec)
-        hz = _window(surf.h.domain, -1.0, 1.0, 1e-9)
-        return (-2.0, 2.0, -2.0, 2.0, hz[0], hz[1])
-    # fallback: unit box intersected with the domains
-    surf = build_surface(spec)
-    wins = [_window(comp.domain, -1.0, 1.0, 1e-9) for comp in surf.components]
-    return tuple(v for w in wins for v in w)
-
-
-# -- JSON (de)serialization --------------------------------------------------------
+    return _checked(spec)._box()
 
 
 def family_to_json(spec: FamilySpec) -> dict:
-    if isinstance(spec, RightCylinder):
-        params = {"f": _func_json(spec.f), "g": _func_json(spec.g),
-                  "a": spec.a, "plane": spec.plane}
-    elif isinstance(spec, Translation):
-        params = {"a": spec.a, "g": _func_json(spec.g)}
-    elif isinstance(spec, RotationalParabolic):
-        params = {"a": spec.a, "b": spec.b, "c": spec.c, "h": _func_json(spec.h)}
-    elif isinstance(spec, RotationalCGC):
-        params = {"K": spec.K, "r0": spec.r0, "dr0": spec.dr0,
-                  "arc_span": spec.arc_span, "step": spec.step}
-    elif isinstance(spec, GeneralizedCone):
-        params = {"p": spec.p, "q": spec.q, "m": list(spec.m), "n": list(spec.n)}
-    elif isinstance(spec, ExpCylinder):
-        params = {"m": list(spec.m), "n": list(spec.n)}
-    elif isinstance(spec, ConicalPower):
-        params = {"k": spec.k, "m": list(spec.m), "n": list(spec.n)}
-        if spec.signs is not None:
-            params["signs"] = list(spec.signs)
-    else:
-        raise InvalidFamilyError(f"unknown family spec {spec!r}")
-    return {"family": spec.tag, "params": params}
+    return {"family": _checked(spec).tag, "params": spec._params()}
 
 
 def family_from_json(doc: dict) -> FamilySpec:
+    """Parse ``{"family": tag, "params": {...}}``; every malformed document,
+    missing or mistyped fields included, raises InvalidFamilyError."""
     try:
         tag = doc["family"]
         params = dict(doc["params"])
-    except (KeyError, TypeError) as exc:
-        raise InvalidFamilyError(f"malformed family document: {exc}") from exc
-    if tag not in _TAGS:
-        raise InvalidFamilyError(f"unknown family tag {tag!r}")
-    if tag == "right-cylinder":
-        plane = params.get("plane", "z")
-        present = [c for c in "xyz" if c != plane]
-        return RightCylinder(
-            f=_func_field(params["f"], present[0]),
-            g=_func_field(params["g"], present[1]),
-            a=float(params.get("a", 0.0)),
-            plane=plane,
-        )
-    if tag == "translation":
-        return Translation(a=float(params["a"]), g=_func_field(params["g"], "y"))
-    if tag == "rotational-parabolic":
-        return RotationalParabolic(
-            a=float(params.get("a", 0.0)), b=float(params.get("b", 0.0)),
-            c=float(params.get("c", 0.0)), h=_func_field(params["h"], "z"),
-        )
-    if tag == "rotational-cgc":
-        return RotationalCGC(
-            K=float(params["K"]), r0=float(params["r0"]),
-            dr0=float(params.get("dr0", 0.0)),
-            arc_span=float(params.get("arc_span", 3.0)),
-            step=None if params.get("step") is None else float(params["step"]),
-        )
-    if tag == "generalized-cone":
-        spec = GeneralizedCone(
-            p=float(params["p"]),
-            m=tuple(params["m"]), n=tuple(params.get("n", (0.0, 0.0, 0.0))),
-        )
-        if "q" in params and float(params["q"]) != spec.q:
-            raise InvalidFamilyError("q must equal 1 - p")
-        return spec
-    if tag == "exp-cylinder":
-        return ExpCylinder(m=tuple(params["m"]), n=tuple(params["n"]))
-    signs = params.get("signs")
-    return ConicalPower(
-        k=float(params["k"]), m=tuple(params["m"]),
-        n=tuple(params.get("n", (0.0, 0.0, 0.0))),
-        signs=None if signs is None else tuple(signs),
-    )
+        if tag not in _TAGS:
+            raise InvalidFamilyError(f"unknown family tag {tag!r}")
+        return _TAGS[tag]._from_params(params)
+    except (KeyError, TypeError, IndexError) as exc:
+        raise InvalidFamilyError(f"malformed family document: {exc!r}") from exc
 
 
 # -- presets -----------------------------------------------------------------------
@@ -814,15 +813,16 @@ _PRESET_BOXES: dict[str, Box] = {
 }
 
 
-def preset_surface(name: str) -> SeparableSurface:
+def _preset(name: str) -> str:
     if name not in PRESETS:
         raise InvalidFamilyError(
             f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
-    return build_surface(PRESETS[name])
+    return name
+
+
+def preset_surface(name: str) -> SeparableSurface:
+    return build_surface(PRESETS[_preset(name)])
 
 
 def preset_box(name: str) -> Box:
-    if name not in _PRESET_BOXES:
-        raise InvalidFamilyError(
-            f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
-    return _PRESET_BOXES[name]
+    return _PRESET_BOXES[_preset(name)]

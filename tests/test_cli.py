@@ -181,6 +181,22 @@ def test_plane_classify_report_is_strict_json(capsys):
     assert doc["evidence"]["kappa_agreement"] is None
 
 
+@pytest.mark.parametrize("doc", [
+    {"family": "translation", "params": {}},
+    {"family": "translation", "params": {"a": 1.0, "g": {"domain": [0, 1]}}},
+    {"family": "generalized-cone", "params": {"p": 2.0, "m": [1, None, 1]}},
+    {"family": "generalized-cone", "params": {"p": 2.0, "m": 5}},
+    {"family": "exp-cylinder", "params": {"m": [1, 1], "n": [-1, 1, 1]}},
+    {"family": "exp-cylinder", "params": {"m": [1, 1, 1, 1], "n": [-1, 1, 1]}},
+    {"family": "conical-power", "params": {"k": 2, "m": [1, 1, 1], "signs": [1, -1]}},
+], ids=["translation-empty", "no-expr", "m-null", "m-scalar", "exp-m2", "exp-m4",
+        "signs2"])
+def test_malformed_spec_exits_one(capsys, doc):
+    assert main(["classify", "--spec", json.dumps(doc), "--n", "50"]) == 1
+    err = capsys.readouterr().err
+    assert "sepsurf: error:" in err and "Traceback" not in err
+
+
 def test_deeply_nested_expression_exits_one(capsys):
     rc = main(["curvature", "--f", "(" * 200 + "x" + ")" * 200, "--g", "y", "--h", "z"])
     assert rc == 1

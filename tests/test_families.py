@@ -1,5 +1,6 @@
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from sepsurf.families import (
     rotational_profile,
 )
 from sepsurf.geometry import curvature_batch
-from sepsurf.verify import collect_samples
+from sepsurf.verify import FAMILY_TAGS, collect_samples, random_family
 
 
 # -- construction of the showcase surfaces ------------------------------------------
@@ -256,6 +257,31 @@ def test_family_json_round_trip(spec):
     doc = json.loads(json.dumps(family_to_json(spec)))
     again = family_from_json(doc)
     assert family_to_json(again) == family_to_json(spec)
+
+
+def _box_bits(box):
+    return [float(v).hex() for v in box]
+
+
+@pytest.mark.parametrize("tag", FAMILY_TAGS)
+def test_family_json_round_trip_random_draws(tag):
+    rng = np.random.default_rng(20)
+    for _ in range(3):
+        spec, _ = random_family(tag, rng)
+        doc = family_to_json(spec)
+        again = family_from_json(json.loads(json.dumps(doc)))
+        assert family_to_json(again) == doc
+        assert list(family_to_json(again)["params"]) == list(doc["params"])  # key order
+        assert _box_bits(admissible_box(again)) == _box_bits(admissible_box(spec))
+
+
+@pytest.mark.parametrize("fn", [build_surface, admissible_box, family_to_json])
+def test_non_spec_objects_rejected(fn):
+    lookalike = SimpleNamespace(tag="exp-cylinder", m=(1.0, 1.0, 1.0), n=(-1.0, 1.0, 1.0))
+    doc = {"family": "exp-cylinder", "params": {"m": [1, 1, 1], "n": [-1, 1, 1]}}
+    for obj in (None, "exp-cylinder", doc, lookalike):
+        with pytest.raises(InvalidFamilyError):
+            fn(obj)
 
 
 def test_family_json_validation():
