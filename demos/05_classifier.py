@@ -22,8 +22,7 @@ for tag in ("right-cylinder", "translation", "rotational-parabolic",
             "generalized-cone", "exp-cylinder", "conical-power", "rotational-cgc"):
     spec, box = random_family(tag, rng)
     surf = build_surface(spec)
-    pts = collect_samples(surf, box, 260, seed=7,
-                          axis=getattr(surf, "preferred_axis", 2))
+    pts = collect_samples(surf, box, 260, seed=7)
     res = classify(surf, pts)
     params = {k: round(v, 6) for k, v in res.parameters.items()}
     print(f"{tag:22s} -> {res.label:18s} {params}")

@@ -105,16 +105,11 @@ def cmd_family(args) -> int:
     return 0
 
 
-def _collect(surface, box, n, seed) -> "np.ndarray":
-    axis = getattr(surface, "preferred_axis", 2)
-    return ver.collect_samples(surface, box, n, seed=seed, axis=axis)
-
-
 def cmd_curvature(args) -> int:
     import numpy as np
 
     surface, box, desc = _surface_from_args(args)
-    pts = _collect(surface, box, args.n, args.seed)
+    pts = ver.collect_samples(surface, box, args.n, seed=args.seed)
     K = ver.curvature_batch(surface, pts)
     K = K[np.isfinite(K)]
     doc = {
@@ -134,7 +129,7 @@ def cmd_curvature(args) -> int:
 
 def cmd_classify(args) -> int:
     surface, box, desc = _surface_from_args(args)
-    pts = _collect(surface, box, args.n, args.seed)
+    pts = ver.collect_samples(surface, box, args.n, seed=args.seed)
     tols = ver.DEFAULT_TOLERANCES
     result = ver.classify(surface, pts, tols)
     doc = {

@@ -619,12 +619,19 @@ class Func1D:
         self._check(x)
         return Jet3(*(_one(col, x) for col in self.jet3_array(np.array([float(x)]))))
 
-    def value_array(self, xs: np.ndarray) -> np.ndarray:
+    def _masked_array(self, tree: Ast, xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
-        out = eval_array(self.ast, xs)
+        out = eval_array(tree, xs)
         lo, hi = self.domain
         out[(xs <= lo) | (xs >= hi)] = np.nan
         return out
+
+    def value_array(self, xs: np.ndarray) -> np.ndarray:
+        return self._masked_array(self.ast, xs)
+
+    def d1_array(self, xs: np.ndarray) -> np.ndarray:
+        """f' array, equal to jet3_array's d1; NaN outside the domain."""
+        return self._masked_array(self._d1, xs)
 
     def jet3_array(self, xs: np.ndarray) -> tuple[np.ndarray, ...]:
         """(value, d1, d2, d3) arrays; NaN outside the domain."""

@@ -22,6 +22,7 @@ Specs serialize to and from JSON documents ``{"family": tag, "params": {...}}``.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional, get_args
 
@@ -94,10 +95,19 @@ def _require(cond: bool, message: str) -> None:
 
 
 def _triple(spec, name: str, cast=float) -> None:
-    """Store field ``name`` of a frozen spec as a tuple of three ``cast`` values."""
-    values = tuple(cast(v) for v in getattr(spec, name))
-    _require(len(values) == 3, f"{name} must have exactly 3 entries")
-    object.__setattr__(spec, name, values)
+    """Store field ``name`` of a frozen spec as a tuple of three ``cast`` values.
+
+    The field must be a list or tuple of three real numbers (booleans and
+    strings are not numbers); for ``cast=int`` each must be integral.
+    """
+    raw = getattr(spec, name)
+    _require(isinstance(raw, (list, tuple)), f"{name} must be a list of 3 numbers")
+    _require(len(raw) == 3, f"{name} must have exactly 3 entries")
+    _require(all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in raw),
+             f"{name} entries must be numbers")
+    _require(cast is not int or all(float(v).is_integer() for v in raw),
+             f"{name} entries must be integers")
+    object.__setattr__(spec, name, tuple(cast(v) for v in raw))
 
 
 def _check_profile_args(K: float, r0: float, dr0: float, arc_span: float) -> None:
@@ -129,10 +139,9 @@ class RightCylinder:
         parts[present[0]] = _rebind(self.f, present[0])
         parts[present[1]] = _rebind(self.g, present[1])
         parts[self.plane] = Func1D(Const(float(self.a)), var=self.plane)
-        surf = SeparableSurface(parts["x"], parts["y"], parts["z"],
-                                name=f"right-cylinder[{self.plane} absent]")
-        surf.preferred_axis = {"z": 1, "y": 2, "x": 2}[self.plane]
-        return surf
+        return SeparableSurface(parts["x"], parts["y"], parts["z"],
+                                name=f"right-cylinder[{self.plane} absent]",
+                                preferred_axis={"z": 1, "y": 2, "x": 2}[self.plane])
 
     def _box(self) -> Box:
         surf = build_surface(self)
@@ -173,9 +182,7 @@ class Translation:
         f = Func1D.parse(f"{_r(self.a)}*x", "x")
         g = _rebind(self.g, "y")
         h = Func1D.parse("-z", "z")
-        surf = SeparableSurface(f, g, h, name=f"translation[a={self.a:g}]")
-        surf.preferred_axis = 2
-        return surf
+        return SeparableSurface(f, g, h, name=f"translation[a={self.a:g}]")
 
     def _box(self) -> Box:
         surf = build_surface(self)
@@ -214,9 +221,7 @@ class RotationalParabolic:
         hz = _rebind(self.h, "z")
         # h-component of F is c - h(z)
         h = Func1D(Binary("sub", Const(float(self.c)), hz.ast), hz.domain, "z")
-        surf = SeparableSurface(f, g, h, name="rotational-parabolic")
-        surf.preferred_axis = 2
-        return surf
+        return SeparableSurface(f, g, h, name="rotational-parabolic")
 
     def _box(self) -> Box:
         surf = build_surface(self)
@@ -258,9 +263,7 @@ class RotationalCGC:
         tab = rotational_profile(self.K, self.r0, self.dr0, self.arc_span, self.step)
         f = Func1D.parse("x^2", "x")
         g = Func1D.parse("y^2", "y")
-        surf = SeparableSurface(f, g, tab, name=f"rotational-cgc[K={self.K:g}]")
-        surf.preferred_axis = 2
-        return surf
+        return SeparableSurface(f, g, tab, name=f"rotational-cgc[K={self.K:g}]")
 
     def _box(self) -> Box:
         surf = build_surface(self)
@@ -316,9 +319,7 @@ class GeneralizedCone:
         for coeff, m, n, var in zip((a, b, c), self.m, self.n, "xyz"):
             src = f"{_r(-coeff)}*log({_affine_src(m, n, var)})"
             comps.append(Func1D.parse(src, var, _chart_domain(m, n, +1)))
-        surf = SeparableSurface(*comps, name=f"generalized-cone[p={self.p:g}]")
-        surf.preferred_axis = 2
-        return surf
+        return SeparableSurface(*comps, name=f"generalized-cone[p={self.p:g}]")
 
     def _box(self) -> Box:
         # all bases over [0.5, 2]: the z base s1^p s2^q passes through 1
@@ -365,9 +366,7 @@ class ExpCylinder:
         comps = []
         for m, n, var in zip(self.m, self.n, "xyz"):
             comps.append(Func1D.parse(f"{_r(n)}*exp({_r(m)}*{var})", var))
-        surf = SeparableSurface(*comps, name="exp-cylinder")
-        surf.preferred_axis = 2
-        return surf
+        return SeparableSurface(*comps, name="exp-cylinder")
 
     def _probe_z(self) -> np.ndarray:
         """z over a 17 x 17 probe grid of columns on [-1.2, 1.2]^2; NaN where none."""
@@ -464,9 +463,7 @@ class ConicalPower:
             base = f"({_affine_src(m, n, var)})^({_r(alpha)})"
             src = base if eps > 0 else f"-{base}"
             comps.append(Func1D.parse(src, var, _chart_domain(m, n, side)))
-        surf = SeparableSurface(*comps, name=f"conical-power[k={self.k:g}]")
-        surf.preferred_axis = 2
-        return surf
+        return SeparableSurface(*comps, name=f"conical-power[k={self.k:g}]")
 
     def _box(self) -> Box:
         # same idea as the generalized cone: the third term's magnitude
@@ -594,6 +591,9 @@ class TabulatedFunc1D:
 
     def value_array(self, xs: np.ndarray) -> np.ndarray:
         return self._eval_cols(xs)[0]
+
+    def d1_array(self, xs: np.ndarray) -> np.ndarray:
+        return self._eval_cols(xs)[1]
 
     def _check(self, x: float) -> None:
         if not self.contains(x):

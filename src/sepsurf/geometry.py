@@ -60,16 +60,21 @@ class SingularPointError(Exception):
 class SeparableSurface:
     """The zero set of f(x) + g(y) + h(z).
 
-    Components only need ``value``, ``jet3``, ``value_array``, ``jet3_array``
-    and ``domain``; both expression-backed Func1D and tabulated functions
-    qualify.  Immutable; safe for concurrent shared reads.
+    Components only need ``value``, ``jet3``, ``value_array``, ``d1_array``,
+    ``jet3_array`` and ``domain``; both expression-backed Func1D and
+    tabulated functions qualify.  ``preferred_axis`` is the axis samplers
+    solve along (0, 1 or 2); ``family_spec`` is the spec
+    ``families.build_surface`` built the surface from, else None.
+    Immutable; safe for concurrent shared reads.
     """
 
-    def __init__(self, f, g, h, name: str = ""):
+    def __init__(self, f, g, h, name: str = "", preferred_axis: int = 2):
         self.f = f
         self.g = g
         self.h = h
         self.name = name
+        self.preferred_axis = preferred_axis
+        self.family_spec = None
 
     @property
     def components(self) -> tuple:

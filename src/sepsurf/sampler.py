@@ -1,16 +1,22 @@
 """On-surface sampling and isosurface meshing.
 
-Roots along a coordinate axis are located by a fixed scan (256 subdivisions
-of the window), run over the columns in fixed-size chunks, then bisection of
-every bracket of every column at once to 1e-13 and one Newton polish; one
-sort groups the roots by column and drops duplicates, so the work is linear
-in columns plus roots.  The same engine backs the scalar ``solve_z`` and the
-batched samplers, so both produce bit-identical roots.  Meshes come from
-the standard 256-case marching-cubes tables (Lorensen & Cline 1987),
-applied to all cells at once through global grid-edge ids, with vertices
-re-projected onto the zero set along their grid edge in one batched pass.
-Everything is deterministic given the grid spec (seed included); columns
-and cells are processed in a fixed order.
+Every column along a coordinate axis solves h(t) = target for the same
+one-variable h; only the target changes.  So the root engine builds one
+node set per call, independent of the targets: 257 evenly spaced nodes plus
+the critical points of h (bisected on h') where h' changes sign between
+them.  Each monotone run of node values brackets a target at most once,
+and one binary search per run finds that bracket for all columns at once;
+an evenly spaced interval that a critical point split is also searched
+whole, so every root a scan of the 257 nodes finds is kept.  Every bracket is then bisected to 1e-13 together and takes one Newton
+polish, and one sort groups the roots by column and drops duplicates.
+Time is O(runs * columns * log nodes + roots), memory O(columns + roots).
+The same engine backs the scalar ``solve_z`` and the batched samplers, so
+both produce bit-identical roots.  Meshes come from the standard 256-case
+marching-cubes tables (Lorensen & Cline 1987), applied to all cells at once
+through global grid-edge ids, with vertices re-projected onto the zero set
+along their grid edge in one batched pass.  Everything is deterministic
+given the grid spec (seed included); columns and cells are processed in a
+fixed order.
 """
 
 from __future__ import annotations
@@ -38,12 +44,15 @@ __all__ = [
     "export_report",
 ]
 
-# fixed number of scan subdivisions; bounds how many roots per column are
-# detectable, in exchange for determinism
+# evenly spaced intervals of the root engine's window.  Critical points of h
+# are found where h' changes sign between neighbouring nodes, so an interval
+# holding two critical points is not split and may hide a root pair; a
+# tangency (double root) is found only when its critical value equals the
+# target exactly
 SCAN_SUBDIVISIONS = 256
 _BISECT_ITERS = 60  # halves a window of <= 1e5 down to <= 1e-13
+_RETIRE_EVERY = 4  # bisection iterations between retirement checks
 _DEFAULT_SPAN = 16.0  # scan window for unbounded domains
-_SCAN_CHUNK = 4096  # targets per scan pass; bounds the (chunk, S+1) scan arrays
 
 
 @dataclass(frozen=True)
@@ -98,59 +107,131 @@ def _axis_window(func, window: Optional[tuple[float, float]]) -> tuple[float, fl
     return (lo, hi)
 
 
+def _bisect(fn, target: np.ndarray, a: np.ndarray, b: np.ndarray,
+            fa: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Halve every bracket [a, b] of fn(t) = target, _BISECT_ITERS times.
+
+    ``fa`` is fn(a) - target per row.  A non-finite midpoint value keeps the
+    left half.  Every _RETIRE_EVERY-th iteration, rows that it left with the
+    same a, b and fa retire: that state is a fixed point of the update, so
+    the result stays bit for bit the same.
+    """
+    a, b = a.copy(), b.copy()
+    rows = np.arange(a.size)
+    al, bl, fal, tl = a, b, fa, target
+    for i in range(_BISECT_ITERS):
+        if not rows.size:
+            break
+        mid = 0.5 * (al + bl)
+        fm = fn(mid) - tl
+        left = (fal * fm) > 0.0  # root in the right half (NaN mid keeps left)
+        left &= np.isfinite(fm)
+        check = i % _RETIRE_EVERY == _RETIRE_EVERY - 1
+        if check:
+            moved = np.where(left, (mid != al) | (fm != fal), mid != bl)
+        al = np.where(left, mid, al)
+        fal = np.where(left, fm, fal)
+        bl = np.where(left, bl, mid)
+        if check and not moved.all():
+            done = ~moved
+            a[rows[done]], b[rows[done]] = al[done], bl[done]
+            rows, al, bl, fal, tl = (v[moved] for v in (rows, al, bl, fal, tl))
+    a[rows], b[rows] = al, bl
+    return a, b
+
+
+def _critical_points(func, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Critical points of func between neighbouring nodes, as (k, point).
+
+    Nodes k and k + 1 whose derivatives have strictly opposite signs (NaN
+    has none) hold a critical point; it is bisected on func' and kept where
+    it lies strictly inside the interval.  A node where func' is exactly 0
+    already bounds the monotone runs on either side of it and adds nothing.
+    """
+    d1 = func.d1_array(nodes)
+    k = np.flatnonzero(np.sign(d1[:-1]) * np.sign(d1[1:]) < 0.0)
+    a, b = _bisect(func.d1_array, np.zeros(k.size), nodes[k], nodes[k + 1], d1[k])
+    crit = 0.5 * (a + b)
+    inside = (crit > nodes[k]) & (crit < nodes[k + 1])
+    return k[inside], crit[inside]
+
+
 def _solve_targets(func, targets: np.ndarray,
                    window: Optional[tuple[float, float]]) -> tuple[np.ndarray, np.ndarray]:
     """All roots of func(t) = target_j inside the window, as flat arrays.
 
     Returns ``(column, root)``: the target index and the root, ordered by
-    column, then ascending root.  Scan with SCAN_SUBDIVISIONS intervals,
-    ``_SCAN_CHUNK`` targets at a time, and bracket sign changes; then
-    bisect every bracket of every target together a fixed 60 times
-    (window/2^60 < 1e-13 for any window used here) and take one Newton
-    polish.  Exact hits on scan nodes join the polished roots, and roots
-    within 1e-11 (relative) of the previous one in their column are dropped.
+    column, then ascending root.  The node set does not depend on the
+    targets: SCAN_SUBDIVISIONS + 1 evenly spaced nodes plus the critical
+    points of func where func' changes sign between them.  The finite node
+    values split into strictly monotone runs; in each run one
+    ``searchsorted`` over all targets names the only interval that can
+    bracket a target, and the sign-change test accepts or rejects it.  Exact
+    hits on nodes (all but the last) come from a search of the sorted node
+    values.  On the same node set, brackets and hits equal those of a dense
+    sign-change scan of every node pair for every target.  An evenly spaced
+    interval that a critical point split is searched whole as well: its
+    bracket, bisected as before, gives the root a scan of the evenly spaced
+    nodes alone finds, which the halves may miss when the interval holds
+    three roots.  Every bracket of every target is then bisected together a
+    fixed 60 times (window/2^60 < 1e-13 for any window used here) and takes
+    one Newton polish; roots within 1e-11 (relative) of the previous one in
+    their column are dropped.
     """
     targets = np.asarray(targets, dtype=float)
     lo, hi = _axis_window(func, window)
     if not lo < hi or not targets.size:
         return np.empty(0, dtype=np.intp), np.empty(0)
     eps = 1e-12 * (abs(lo) + abs(hi) + 1.0)
-    nodes = np.linspace(lo + eps, hi - eps, SCAN_SUBDIVISIONS + 1)
-    vals = func.value_array(nodes)
+    grid = np.linspace(lo + eps, hi - eps, SCAN_SUBDIVISIONS + 1)
+    grid_vals = func.value_array(grid)
+    split, crit = _critical_points(func, grid)
+    nodes = np.insert(grid, split + 1, crit)
+    vals = np.insert(grid_vals, split + 1, func.value_array(crit))
 
-    # brackets: consecutive finite nodes with a sign change of f - target
-    brackets, hits = [], []
-    for start in range(0, targets.size, _SCAN_CHUNK):
-        resid = vals[None, :] - targets[start:start + _SCAN_CHUNK, None]  # (chunk, S+1)
-        finite = np.isfinite(resid)
-        sign_change = (resid[:, :-1] * resid[:, 1:] < 0.0) & finite[:, :-1] & finite[:, 1:]
-        exact_hit = (resid[:, :-1] == 0.0) & finite[:, :-1]
-        t, s = np.nonzero(sign_change)
-        brackets.append((t + start, s))
-        t, s = np.nonzero(exact_hit)
-        hits.append((t + start, s))
-    t_idx, s_idx = (np.concatenate(parts) for parts in zip(*brackets))
-    hit_t, hit_s = (np.concatenate(parts) for parts in zip(*hits))
+    # monotone runs: maximal stretches of finite node pairs stepping the same
+    # strict direction (equal neighbours bracket nothing and join no run)
+    finite = np.isfinite(vals)
+    with np.errstate(invalid="ignore"):
+        step = np.where(finite[:-1] & finite[1:], np.sign(np.diff(vals)), 0.0)
+    edges = np.flatnonzero(np.diff(step, prepend=0.0, append=0.0))
+    runs = [(nodes[i0:i1 + 1], vals[i0:i1 + 1])
+            for i0, i1 in zip(edges[:-1].tolist(), edges[1:].tolist()) if step[i0] != 0.0]
+    # a grid interval split by a critical point is also searched whole
+    runs += [(grid[k:k + 2], grid_vals[k:k + 2]) for k in split.tolist()]
 
-    a = nodes[s_idx]
-    b = nodes[s_idx + 1]
+    # brackets: per run, the one interval where f - target may change sign
+    parts = [(np.empty(0, dtype=np.intp),) + (np.empty(0),) * 3]
+    for xs, vs in runs:
+        if vs[1] > vs[0]:
+            k = np.searchsorted(vs, targets)
+        else:
+            k = np.searchsorted(-vs, -targets)
+        k = np.clip(k - 1, 0, vs.size - 2)
+        ra, rb = vs[k] - targets, vs[k + 1] - targets
+        t = np.flatnonzero((ra * rb < 0.0) & np.isfinite(ra) & np.isfinite(rb))
+        k = k[t]
+        parts.append((t, xs[k], xs[k + 1], vs[k]))
+    t_idx, a, b, va = (np.concatenate(p) for p in zip(*parts))
+
+    # exact hits: the finite values of nodes[:-1] equal to a target
+    ids = np.flatnonzero(finite[:-1])
+    ids = ids[np.argsort(vals[ids], kind="stable")]
+    sorted_vals = vals[ids]
+    first = np.searchsorted(sorted_vals, targets, side="left")
+    count = np.searchsorted(sorted_vals, targets, side="right") - first
+    hit_t = np.repeat(np.arange(targets.size), count)
+    offset = np.arange(hit_t.size) - np.repeat(np.cumsum(count) - count, count)
+    hit_s = ids[np.repeat(first, count) + offset]
+
     tgt = targets[t_idx]
-    fa = vals[s_idx] - tgt
-    for _ in range(_BISECT_ITERS):
-        mid = 0.5 * (a + b)
-        fm = func.value_array(mid) - tgt
-        left = (fa * fm) > 0.0  # root in the right half (NaN mid keeps left)
-        left &= np.isfinite(fm)
-        a = np.where(left, mid, a)
-        fa = np.where(left, fm, fa)
-        b = np.where(left, b, mid)
+    a, b = _bisect(func.value_array, tgt, a, b, va - tgt)
     root = 0.5 * (a + b)
 
     # one derivative polish step
-    _, d1, _, _ = func.jet3_array(root)
     fr = func.value_array(root) - tgt
     with np.errstate(all="ignore"):
-        stepped = root - fr / d1
+        stepped = root - fr / func.d1_array(root)
     ok = np.isfinite(stepped) & (stepped > a - (b - a)) & (stepped < b + (b - a))
     root = np.where(ok, stepped, root)
 
@@ -214,7 +295,7 @@ def sample_points(surface: SeparableSurface, grid: GridSpec,
     seed) and every root along the solving axis inside the box is kept.
     """
     if axis is None:
-        axis = getattr(surface, "preferred_axis", 2)
+        axis = surface.preferred_axis
     x0, x1, y0, y1, z0, z1 = grid.box
     spans = {0: (x0, x1), 1: (y0, y1), 2: (z0, z1)}
     others = [i for i in range(3) if i != axis]
@@ -336,20 +417,31 @@ def marching_cubes(surface: SeparableSurface, grid: GridSpec) -> Mesh:
 
 def export_obj(mesh: Mesh, path: str) -> None:
     """OBJ with v/f records: 1-based indices, LF endings, 17 significant digits."""
-    records = [f"v {x:.17g} {y:.17g} {z:.17g}\n" for x, y, z in mesh.vertices.tolist()]
-    records += [f"f {a} {b} {c}\n" for a, b, c in (mesh.triangles + 1).tolist()]
+    coords = np.asarray(mesh.vertices, dtype=float).ravel().tolist()
+    corners = (np.asarray(mesh.triangles) + 1).ravel().tolist()
+    text = ("v %.17g %.17g %.17g\n" * (len(coords) // 3)) % tuple(coords)
+    text += ("f %d %d %d\n" * (len(corners) // 3)) % tuple(corners)
     with open(path, "w", newline="\n") as fh:
-        fh.write("".join(records))
+        fh.write(text)
 
 
 def export_report(mesh: Mesh, path) -> None:
-    """JSON sidecar carrying per-vertex K (OBJ has no scalar attributes)."""
-    doc = {
-        "K": [None if not math.isfinite(k) else k for k in mesh.vertex_K],
+    """JSON sidecar carrying per-vertex K (OBJ has no scalar attributes).
+
+    The layout is ``json.dumps(doc, indent=2)``'s; the K list, the bulk of
+    the file, is written as one join of ``float.__repr__`` (json's own float
+    form) with ``null`` for non-finite K.
+    """
+    K = np.asarray(mesh.vertex_K, dtype=float)
+    items = list(map(float.__repr__, K.tolist()))
+    for i in np.flatnonzero(~np.isfinite(K)).tolist():
+        items[i] = "null"
+    k_text = "[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]"
+    rest = json.dumps({
         "skipped_cells": mesh.skipped_cells,
         "grid": mesh.grid.to_json() if mesh.grid is not None else None,
-    }
-    text = json.dumps(doc, indent=2, allow_nan=False)
+    }, indent=2, allow_nan=False)
+    text = '{\n  "K": ' + k_text + ",\n" + rest[2:]
     if hasattr(path, "write"):
         path.write(text + "\n")
     else:

@@ -647,8 +647,7 @@ def _suite_families(report: TheoremCheckReport, seed: int, entries, samples) -> 
         for _ in range(5):
             spec, box = random_family(tag, rng)
             surf = fam.build_surface(spec)
-            pts = collect_samples(surf, box, 1000, seed=seed,
-                                  axis=getattr(surf, "preferred_axis", 2))
+            pts = collect_samples(surf, box, 1000, seed=seed)
             K = _regular_curvatures(surf, pts)
             worst = max(worst, float(np.max(np.abs(K))))
             count += K.size
@@ -720,8 +719,7 @@ def _suite_classifier(report: TheoremCheckReport, seed: int,
         for _ in range(per_tag):
             spec, box = random_family(tag, rng)
             surf = fam.build_surface(spec)
-            pts = collect_samples(surf, box, 220, seed=seed,
-                                  axis=getattr(surf, "preferred_axis", 2))
+            pts = collect_samples(surf, box, 220, seed=seed)
             result = classify(surf, pts)
             total += 1
             if result.label != _EXPECTED_LABEL[tag]:

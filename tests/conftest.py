@@ -3,10 +3,12 @@
 ``eval_math`` is a scalar evaluator over the ``math`` module, written apart
 from the library's numpy evaluator so that the two can be compared.
 
-``solve_many_loop`` is the column root engine as a per-target loop: the same
-scan, bisection and Newton polish as ``sampler._solve_targets``, but the
-roots of each column are picked out, sorted and de-duplicated one column at
-a time, and the points are built one by one.
+``solve_many_loop`` is the column root engine as a per-target loop: a dense
+sign-change scan of the 257 evenly spaced nodes for every target, then the
+same bisection and Newton polish as ``sampler._solve_targets``; the roots of
+each column are picked out, sorted and de-duplicated one column at a time,
+and the points are built one by one.  Wherever the engine inserts no
+critical point into a bracketing interval, the two agree bit for bit.
 
 ``marching_cubes_loop`` is marching cubes as a per-cell loop: each active
 cell's table row is walked slot by slot and a dict keyed by (grid corner,

@@ -189,8 +189,11 @@ def test_plane_classify_report_is_strict_json(capsys):
     {"family": "exp-cylinder", "params": {"m": [1, 1], "n": [-1, 1, 1]}},
     {"family": "exp-cylinder", "params": {"m": [1, 1, 1, 1], "n": [-1, 1, 1]}},
     {"family": "conical-power", "params": {"k": 2, "m": [1, 1, 1], "signs": [1, -1]}},
+    {"family": "conical-power", "params": {"k": 2, "m": [1, 1, 1], "signs": [1.7, -1, 1]}},
+    {"family": "conical-power", "params": {"k": 2, "m": "111"}},
+    {"family": "exp-cylinder", "params": {"m": [1, 1, 1], "n": {"x": -1, "y": 1, "z": 1}}},
 ], ids=["translation-empty", "no-expr", "m-null", "m-scalar", "exp-m2", "exp-m4",
-        "signs2"])
+        "signs2", "signs-fraction", "m-string", "n-object"])
 def test_malformed_spec_exits_one(capsys, doc):
     assert main(["classify", "--spec", json.dumps(doc), "--n", "50"]) == 1
     err = capsys.readouterr().err

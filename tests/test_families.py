@@ -26,7 +26,7 @@ from sepsurf.families import (
     preset_surface,
     rotational_profile,
 )
-from sepsurf.geometry import curvature_batch
+from sepsurf.geometry import SeparableSurface, curvature_batch
 from sepsurf.verify import FAMILY_TAGS, collect_samples, random_family
 
 
@@ -316,3 +316,46 @@ def test_exp_cylinder_ruling():
     for t in (-1.0, -0.5, 0.5, 1.0):
         vals = surf.value_arrays(pts + t * d)
         assert np.max(np.abs(vals)) <= 1e-9
+
+
+@pytest.mark.parametrize("params", [
+    {"k": 2.0, "m": [1, 1, 1], "signs": [1.7, -1, 1]},
+    {"k": 2.0, "m": [1, 1, 1], "signs": "1-1"},
+    {"k": 2.0, "m": [1, 1, 1], "signs": [True, -1, 1]},
+    {"k": 2.0, "m": "111"},
+    {"k": 2.0, "m": ["1", "1", "1"]},
+    {"k": 2.0, "m": {"a": 1, "b": 1, "c": 1}},
+], ids=["sign-fraction", "signs-string", "sign-bool", "m-string", "m-strings", "m-object"])
+def test_family_from_json_rejects_non_numeric_triples(params):
+    with pytest.raises(InvalidFamilyError):
+        family_from_json({"family": "conical-power", "params": params})
+
+
+def test_family_from_json_accepts_integral_float_signs():
+    spec = family_from_json({"family": "conical-power",
+                             "params": {"k": 2.0, "m": [1, 1, 1], "signs": [1.0, -1, 1]}})
+    assert spec.signs == (1, -1, 1) and all(type(s) is int for s in spec.signs)
+
+
+def test_surfaces_own_preferred_axis_and_family_spec():
+    plain = SeparableSurface(Func1D.parse("x"), Func1D.parse("y", "y"), Func1D.parse("z", "z"))
+    assert plain.preferred_axis == 2 and plain.family_spec is None
+    for plane, axis in (("x", 2), ("y", 2), ("z", 1)):
+        spec = RightCylinder(f=Func1D.parse("cosh(x)"), g=Func1D.parse("x^2"), a=-3.0,
+                             plane=plane)
+        surf = build_surface(spec)
+        assert surf.preferred_axis == axis and surf.family_spec is spec
+    for name, spec in PRESETS.items():
+        surf = preset_surface(name)
+        assert surf.preferred_axis == 2 and surf.family_spec == spec
+
+
+def test_d1_array_is_jet3_arrays_derivative_column():
+    # the root engine bisects and polishes on d1_array alone; it must equal
+    # jet3_array's d1 bit for bit, NaN outside the domain included
+    xs = np.linspace(-0.5, 3.0, 301)
+    f = Func1D.parse("sin(cos(exp(0.9*x)*x)/x)+log(x)", "x", (0.0, 2.5))
+    tab = rotational_profile(1.0, 1.0, 0.0)
+    for func, pts in ((f, xs), (tab, np.linspace(*tab.domain, 301)[1:-1])):
+        pts = np.concatenate([pts, [func.domain[0], func.domain[1]]])
+        assert func.d1_array(pts).tobytes() == func.jet3_array(pts)[1].tobytes()

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import marching_cubes_loop, solve_many_loop
+from conftest import marching_cubes_loop, solve_many_loop, solve_targets_loop
 
 from sepsurf import sampler
 from sepsurf._mc_tables import CORNER_OFFSETS, CORNER_PAIRS, EDGE_AXIS, EDGE_LO, TRI_TABLE
@@ -97,7 +97,7 @@ def test_root_engine_matches_loop_on_presets(name):
 
 
 def test_root_engine_matches_loop_on_sphere_and_chunks():
-    n = 2 * sampler._SCAN_CHUNK + 7  # three scan chunks, the last one short
+    n = 2 * 4096 + 7  # over 8192 columns, not a multiple of a power of two
     c1, c2 = _columns(n, seed=4, lo=-1.1, hi=1.1)
     expected = solve_many_loop(sphere(), c1, c2)
     assert len(expected) > n  # two roots on most columns
@@ -134,6 +134,55 @@ def test_root_engine_matches_loop_on_non_finite_targets():
     c2 = np.array([0.1, 0.2, 0.3, 0.4, 0.5, 0.6])
     pts = _assert_engine_matches_loop(surf, c1, c2, (-3.0, 3.0))
     assert len(pts) == 6 and np.all(pts[:, 0] > 0.0)
+
+
+def test_root_engine_finds_close_root_pair():
+    # both roots lie inside one scan interval; the critical point at 0.3 splits it
+    surf = SeparableSurface(Func1D.parse("x^2"), Func1D.parse("y^2", "y"),
+                            Func1D.parse("(z-0.3)^2-1e-6", "z"))
+    roots = solve_axis(surf, 2, 0.0, 0.0, (-1.0, 1.0))
+    assert len(roots) == 2
+    assert abs(roots[0] - (0.3 - 1e-3)) <= 1e-12
+    assert abs(roots[1] - (0.3 + 1e-3)) <= 1e-12
+
+
+@pytest.mark.parametrize("c, window", [(1.0, (-2.0, 2.0)), (1.0, (0.05, 3.0)),
+                                       (0.9, (-1.5, 1.5)), (0.8, (-1.5, 1.5)),
+                                       (1.2, (-1.5, 1.5))])
+def test_root_engine_finds_every_scan_root_on_deep_expression(c, window):
+    # the benchmark pool's deepest expression (c drawn from (0.8, 1.2))
+    # oscillates near 0: the engine finds every root the fixed-node scan
+    # finds, also where a critical point splits a scan interval holding
+    # three roots, plus roots the scan misses because they share an interval
+    func = Func1D.parse(f"sin(cos(exp({c!r}*z)*z)/z)", "z")
+    targets = np.random.default_rng(5).uniform(-1.0, 1.0, 300)
+    col, root = sampler._solve_targets(func, targets, window)
+    assert np.max(np.abs(func.value_array(root) - targets[col])) <= 1e-9
+    scanned = solve_targets_loop(func, targets, window)
+    for j, expected in enumerate(scanned):
+        mine = root[col == j]
+        for r in expected:
+            assert np.min(np.abs(mine - r)) <= 1e-12 * (1.0 + abs(r))
+    assert root.size > sum(len(r) for r in scanned)
+
+
+def test_bisection_retirement_keeps_every_bracket_bit_for_bit():
+    # rows retire once converged; a, b (the polish window) must equal the
+    # full fixed-count loop's, also for rows with NaN values or no sign change
+    func = Func1D.parse("log(z)*z-0.3", "z")  # NaN for z <= 0
+    rng = np.random.default_rng(8)
+    a = rng.uniform(-0.5, 2.0, 3000)
+    b = a + rng.uniform(1e-9, 0.5, 3000)
+    target = rng.uniform(-0.5, 0.5, 3000)
+    fa = func.value_array(a) - target
+    got = sampler._bisect(func.value_array, target, a, b, fa)
+    ra, rb, rfa = a, b, fa
+    for _ in range(sampler._BISECT_ITERS):
+        mid = 0.5 * (ra + rb)
+        fm = func.value_array(mid) - target
+        left = ((rfa * fm) > 0.0) & np.isfinite(fm)
+        ra, rfa, rb = np.where(left, mid, ra), np.where(left, fm, rfa), np.where(left, rb, mid)
+    assert _same_bits(got[0], ra) and _same_bits(got[1], rb)
 
 
 def test_root_engine_empty_window_and_zero_columns():
@@ -385,6 +434,24 @@ def test_export_obj_empty_mesh(tmp_path):
     export_obj(Mesh(np.empty((0, 3)), np.empty((0, 3), dtype=np.int64), np.empty(0)),
                str(path))
     assert path.read_bytes() == b""
+
+
+@pytest.mark.parametrize("K", [
+    [-0.0, 1e-300, 1e300, -1e-300, 2.0 ** -1074, 2.0 ** -1030, 0.1, -2.5, float("nan"),
+     float("inf"), -float("inf"), 1.0 / 3.0, 12345.678, 1e16, 1e-5],
+    [],
+    [float("nan"), float("inf"), float("nan")],
+])
+def test_export_report_bytes_match_json_dumps(tmp_path, K):
+    grid = GridSpec(box=(-1.0, 1.0, -0.0, 2.5, 0.0, 1e-300), nx=4, ny=5, nz=6, seed=5)
+    for g in (grid, None):
+        mesh = Mesh(np.zeros((len(K), 3)), np.empty((0, 3), dtype=int), np.array(K),
+                    skipped_cells=7, grid=g)
+        path = tmp_path / "mesh.json"
+        export_report(mesh, str(path))
+        doc = {"K": [k if math.isfinite(k) else None for k in K], "skipped_cells": 7,
+               "grid": g.to_json() if g is not None else None}
+        assert path.read_bytes() == (json.dumps(doc, indent=2) + "\n").encode()
 
 
 def test_export_report_schema(tmp_path):

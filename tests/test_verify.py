@@ -23,8 +23,6 @@ from sepsurf.verify import (
 
 
 def _samples(surface, box, n=260, seed=42, axis=None):
-    if axis is None:
-        axis = getattr(surface, "preferred_axis", 2)
     return collect_samples(surface, box, n, seed=seed, axis=axis)
 
 
