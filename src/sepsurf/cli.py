@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Optional, Sequence
 
@@ -38,9 +39,21 @@ class _Parser(argparse.ArgumentParser):
 def _parse_box(text: str) -> tuple[float, ...]:
     parts = text.split(",")
     if len(parts) != 6:
-        raise ValueError("--box needs six comma-separated numbers: x0,x1,y0,y1,z0,z1")
+        raise argparse.ArgumentTypeError("needs six comma-separated numbers: x0,x1,y0,y1,z0,z1")
     box = tuple(float(p) for p in parts)
+    if not all(math.isfinite(v) for v in box):
+        raise argparse.ArgumentTypeError(f"values must be finite, got {text!r}")
     return box
+
+
+def _positive_int(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return n
 
 
 def _write_report(doc: dict, path: str) -> None:
@@ -183,7 +196,7 @@ def build_parser() -> _Parser:
         p.add_argument("--preset", help=f"named preset: {', '.join(sorted(fam.PRESETS))}")
         p.add_argument("--box", type=_parse_box,
                        help="x0,x1,y0,y1,z0,z1 sampling box")
-        p.add_argument("--n", type=int, default=n_default, help="sample count")
+        p.add_argument("--n", type=_positive_int, default=n_default, help="sample count")
         p.add_argument("--seed", type=int, default=42)
         p.add_argument("--report", default="-", help="report path ('-' for stdout)")
         p.set_defaults(func=func)

@@ -16,17 +16,23 @@ Grammar (whitespace insignificant)::
 
 ``ident`` is the declared variable or one of sin, cos, sinh, cosh, tanh,
 exp, log, sqrt, abs.  Numbers are decimal literals with an optional
-exponent.  Parentheses, calls, unary minus and ``^`` chains nest at most
-``MAX_NESTING`` deep together, and an expression has at most
-``MAX_TOKENS`` tokens; deeper or longer input is a ParseError.  So is a
-derivative tree of more than ``MAX_DERIV_NODES`` nodes: products and
-quotient chains grow theirs about as n^4 over three orders.
+exponent; one that overflows to infinity is a ParseError.  Parentheses,
+calls, unary minus and ``^`` chains nest at most ``MAX_NESTING`` deep
+together, and an expression has at most ``MAX_TOKENS`` tokens; deeper or
+longer input is a ParseError.  So is a derivative tree of more than
+``MAX_DERIV_NODES`` nodes: products and quotient chains grow theirs about
+as n^4 over three orders.
 
 Evaluation has one implementation, the array evaluator ``eval_array``.
-The scalar calls (``evaluate``, ``Func1D.value``, ``jet3`` and
-``deriv_value``) are one-row views of it that raise EvalDomainError where
-the row comes back NaN.  numpy's elementary functions may differ from the
-``math`` module's by an ulp.
+It keeps every constant a scalar of the input's dtype, never an array, so
+longdouble input stays longdouble and numpy's ``power`` takes its
+scalar-exponent paths: ``^-1``, ``^0.5`` and ``^2`` are the correctly
+rounded ``1/x``, ``sqrt(x)`` and ``x*x``.  Other exponents go through
+numpy's pow and may differ from ``math.pow`` by an ulp, as numpy's
+elementary functions may differ from the ``math`` module's.  The scalar
+calls (``evaluate``, ``Func1D.value``, ``jet3`` and ``deriv_value``) are
+one-row views of it that raise EvalDomainError where the row comes back
+NaN.
 """
 
 from __future__ import annotations
@@ -211,7 +217,10 @@ class _Parser:
     def atom(self) -> Ast:
         kind, val, off = self.next()
         if kind == "num":
-            return Const(float(val))
+            value = float(val)
+            if not math.isfinite(value):
+                raise ParseError("number out of range", off)
+            return Const(value)
         if kind == "ident":
             if val in _FUNCTIONS:
                 k2, v2, o2 = self.peek()
@@ -275,7 +284,8 @@ def eval_array(node: Ast, xs: np.ndarray) -> np.ndarray:
     """Vectorized evaluation; out-of-domain entries come back as NaN.
 
     Works in the dtype of ``xs`` (float64 normally; longdouble inputs stay
-    longdouble, which the finite-difference test oracle relies on).
+    longdouble, which the finite-difference test oracle relies on).  The
+    result is a fresh array of the shape of ``xs``.
     """
     xs = np.asarray(xs)
     if xs.dtype.kind != "f":
@@ -283,14 +293,18 @@ def eval_array(node: Ast, xs: np.ndarray) -> np.ndarray:
     with np.errstate(all="ignore"):
         out = _eval_vec(node, xs)
         out = np.where(np.isfinite(out), out, np.nan)
+    if out.shape != xs.shape:  # a constant tree, e.g. an unfolded log(-1)
+        out = np.full(xs.shape, out, dtype=xs.dtype)
     return out
 
 
 def _eval_vec(node: Ast, xs: np.ndarray) -> np.ndarray:
+    # constants stay scalars; no op writes into its operands, so xs itself
+    # stands for the variable
     if isinstance(node, Const):
-        return np.full(xs.shape, node.value, dtype=xs.dtype)
+        return xs.dtype.type(node.value)
     if isinstance(node, Var):
-        return xs.copy()
+        return xs
     if isinstance(node, Unary):
         a = _eval_vec(node.arg, xs)
         op = node.op

@@ -1,7 +1,12 @@
-"""Shared test helpers: random expression trees and four oracles.
+"""Shared test helpers: random expression trees and five oracles.
 
 ``eval_math`` is a scalar evaluator over the ``math`` module, written apart
 from the library's numpy evaluator so that the two can be compared.
+
+``eval_array_recursive`` is the array evaluator as it was before constants
+became scalars: every constant is a full array, so ``pow`` by a constant
+takes numpy's array-exponent loop.  Wherever a tree has no ``pow``, the
+two agree bit for bit.
 
 ``solve_many_loop`` is the column root engine as a per-target loop: a dense
 sign-change scan of the 257 evenly spaced nodes for every target, then the
@@ -95,8 +100,41 @@ def _eval_math(node, x: float) -> float:
     return a ** b
 
 
-def random_tree(rng: np.random.Generator, depth: int = 4):
-    """Random expression tree of bounded depth over the full grammar."""
+def eval_array_recursive(node, xs: np.ndarray) -> np.ndarray:
+    """Reference array evaluation by recursion, constants as full arrays."""
+    with np.errstate(all="ignore"):
+        out = _eval_recursive(node, xs)
+        return np.where(np.isfinite(out), out, np.nan)
+
+
+def _eval_recursive(node, xs):
+    if isinstance(node, Const):
+        return np.full(xs.shape, node.value, dtype=xs.dtype)
+    if isinstance(node, Var):
+        return xs.copy()
+    if isinstance(node, Unary):
+        a = _eval_recursive(node.arg, xs)
+        if node.op == "neg":
+            return -a
+        if node.op in ("log", "sqrt"):
+            return np.where(a > 0.0, getattr(np, node.op)(np.where(a > 0.0, a, 1.0)), np.nan)
+        return getattr(np, node.op)(a)
+    a = _eval_recursive(node.lhs, xs)
+    b = _eval_recursive(node.rhs, xs)
+    if node.op == "add":
+        return a + b
+    if node.op == "sub":
+        return a - b
+    if node.op == "mul":
+        return a * b
+    if node.op == "div":
+        return np.where(b != 0.0, a / np.where(b != 0.0, b, 1.0), np.nan)
+    return np.power(a, b)
+
+
+def random_tree(rng: np.random.Generator, depth: int = 4, with_pow: bool = True):
+    """Random expression tree of bounded depth over the full grammar, or
+    over all of it but ``^`` when ``with_pow`` is false."""
     if depth == 0 or rng.random() < 0.3:
         if rng.random() < 0.5:
             return Var("x")
@@ -104,12 +142,13 @@ def random_tree(rng: np.random.Generator, depth: int = 4):
     r = rng.random()
     if r < 0.45:
         op = ("add", "sub", "mul", "div")[int(rng.integers(4))]
-        return Binary(op, random_tree(rng, depth - 1), random_tree(rng, depth - 1))
-    if r < 0.62:
+        return Binary(op, random_tree(rng, depth - 1, with_pow),
+                      random_tree(rng, depth - 1, with_pow))
+    if r < 0.62 and with_pow:
         p = float(_POW_EXPONENTS[int(rng.integers(len(_POW_EXPONENTS)))])
         return Binary("pow", random_tree(rng, depth - 1), Const(p))
     op = _UNARY_OPS[int(rng.integers(len(_UNARY_OPS)))]
-    return Unary(op, random_tree(rng, depth - 1))
+    return Unary(op, random_tree(rng, depth - 1, with_pow))
 
 
 def _stencil(f: Func1D, x: float, offsets) -> np.ndarray:

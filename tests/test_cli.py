@@ -1,5 +1,6 @@
 import json
 import time
+import warnings
 
 import pytest
 
@@ -221,3 +222,33 @@ def test_long_product_chain_exits_one_quickly(capsys, op):
     assert time.perf_counter() - start < 2.0
     assert rc == 1
     assert "derivative tree" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--f=1e400*x", "--g=y^2", "--h=z^2-1"],
+    ["--f=x^2", "--g=y^2", "--h=z^2-1e400"],
+], ids=["f", "h"])
+def test_overflowing_literal_exits_one(capsys, argv):
+    assert main(["curvature", *argv]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == [err.strip()]
+    assert err.startswith("sepsurf: error: number out of range")
+
+
+@pytest.mark.parametrize("n", ["-5", "0", "1.5"])
+def test_sample_count_not_a_positive_integer_exits_64(capsys, n):
+    with pytest.raises(SystemExit) as exc:
+        main(["curvature", "--preset", "paper-fig1-left", f"--n={n}"])
+    assert exc.value.code == 64
+    assert "--n: expected a positive integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("box", ["-1e400,1,-1,1,-1,1", "0,1,nan,1,-1,1", "0,1,0,1,-1,inf"])
+def test_non_finite_box_exits_64(capsys, box):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an infinite box once leaked a RuntimeWarning
+        with pytest.raises(SystemExit) as exc:
+            main(["curvature", *CATENOID[:3], f"--box={box}"])
+    assert exc.value.code == 64
+    err = capsys.readouterr().err
+    assert "--box: values must be finite" in err and "Warning" not in err

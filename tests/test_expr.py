@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import draw_fd_case, eval_math, random_tree
+from conftest import draw_fd_case, eval_array_recursive, eval_math, random_tree
 from sepsurf.expr import (
     Binary,
     Const,
@@ -45,6 +45,14 @@ def test_parse_error_offset():
     with pytest.raises(ParseError) as err:
         parse_expr("1+*x")
     assert err.value.offset == 2
+
+
+@pytest.mark.parametrize("src,var,offset", [
+    ("1e400*x", "x", 0), ("z^2-1e400", "z", 4), ("x+ 2.5e308", "x", 3)])
+def test_parse_rejects_overflowing_literal(src, var, offset):
+    with pytest.raises(ParseError, match="number out of range") as err:
+        parse_expr(src, var)
+    assert err.value.offset == offset
 
 
 def test_parse_unknown_identifier():
@@ -318,9 +326,64 @@ def test_func1d_rejects_empty_domain():
 def test_vector_scalar_consistency():
     # numpy against the math-module oracle, which may differ by an ulp;
     # the scalar API is a one-row view of the array path, so bit-equal to it
-    tree = parse_expr("sqrt(x)*exp(-x^2)+tanh(x)/x")
-    xs = np.linspace(0.3, 2.5, 9)
-    vec = eval_array(tree, xs)
-    for x, v in zip(xs, vec):
-        assert abs(eval_math(tree, float(x)) - v) <= 1e-15 * (1 + abs(v))
-        assert evaluate(tree, float(x)) == v
+    for src, signs in [
+        ("sqrt(x)*exp(-x^2)+tanh(x)/x", (1.0,)),
+        ("x^(-2)", (1.0, -1.0)), ("x^(-1)", (1.0, -1.0)), ("x^2", (1.0, -1.0)),
+        ("x^3", (1.0, -1.0)), ("x^0.5", (1.0, -1.0)), ("3*(x+0.25)^(-1)-x^3/2", (1.0, -1.0)),
+    ]:
+        tree = parse_expr(src)
+        for xs in (sign * np.linspace(0.3, 2.5, 9) for sign in signs):
+            for x, v in zip(xs, eval_array(tree, xs)):
+                if np.isnan(v):  # x^0.5 of a negative base
+                    with pytest.raises(EvalDomainError):
+                        evaluate(tree, float(x))
+                    with pytest.raises(EvalDomainError):
+                        eval_math(tree, float(x))
+                    continue
+                assert abs(eval_math(tree, float(x)) - v) <= 1e-15 * (1 + abs(v))
+                assert evaluate(tree, float(x)).hex() == float(v).hex()
+
+
+def test_reciprocal_and_square_are_correctly_rounded():
+    xs = np.random.default_rng(11).uniform(-3.0, 3.0, 20_001)
+    assert np.array_equal(eval_array(parse_expr("x^(-1)"), xs), 1.0 / xs)
+    assert np.array_equal(eval_array(parse_expr("x^2"), xs), xs * xs)
+    assert np.array_equal(Func1D.parse("x^(-1)").jet3_array(xs)[0], 1.0 / xs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_scalar_constants_match_array_constants_without_pow(seed):
+    # constants are scalars, not full arrays; without pow that may not move
+    # a bit, on any column whose tree has no pow
+    rng = np.random.default_rng(seed)
+    xs = np.concatenate([rng.uniform(-3.0, 3.0, 64), [0.0, -0.0, 1.0, -1.0]])
+    tree = simplify(random_tree(rng, 4, with_pow=False))
+    assert eval_array(tree, xs).tobytes() == eval_array_recursive(tree, xs).tobytes()
+    try:
+        f = Func1D(tree)
+    except ParseError:  # derivative tree over the budget
+        return
+    trees = [f.ast]
+    for _ in range(3):
+        trees.append(differentiate(trees[-1]))
+    for tree, col in zip(trees, f.jet3_array(xs)):
+        if "pow" not in repr(tree):
+            assert col.tobytes() == eval_array_recursive(tree, xs).tobytes()
+
+
+def test_eval_array_keeps_dtype_and_shape_and_never_aliases():
+    xs = np.linspace(0.5, 2.0, 7)
+    for src in ("x^(-1)+0.1*x^2", "sqrt(x)/3"):
+        lo = eval_array(parse_expr(src), xs.astype(np.longdouble))
+        assert lo.dtype == np.longdouble
+        assert np.max(np.abs(lo - eval_array(parse_expr(src), xs))) < 1e-15
+    out = eval_array(Var("x"), xs)
+    assert out is not xs and not np.shares_memory(out, xs)
+    out[:] = 0.0
+    assert xs[0] == 0.5
+    # a constant tree the fold left alone is NaN of the input's shape
+    grid = np.ones((2, 3))
+    col = eval_array(Unary("log", Const(-1.0)), grid)
+    assert col.shape == (2, 3) and col.flags.writeable and np.all(np.isnan(col))
+    assert eval_array(Const(2.5), grid).tolist() == [[2.5] * 3] * 2
