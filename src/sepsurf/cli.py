@@ -27,6 +27,10 @@ from .geometry import SeparableSurface, SingularPointError
 from .sampler import GridSpec, export_obj, export_report, marching_cubes
 
 USAGE_ERROR = 64
+# bounds on --n and --res: far larger values only reach an out-of-memory numpy
+# allocation; 100 000 is the largest sample count with timings in ROADMAP.md
+MAX_SAMPLES = 100_000
+MAX_RES = 256
 
 
 class _Parser(argparse.ArgumentParser):
@@ -46,13 +50,26 @@ def _parse_box(text: str) -> tuple[float, ...]:
     return box
 
 
-def _positive_int(text: str) -> int:
+def _sample_count(text: str) -> int:
     try:
         n = int(text)
     except ValueError:
         n = 0
     if n < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    if n > MAX_SAMPLES:
+        raise argparse.ArgumentTypeError(f"expected at most {MAX_SAMPLES}, got {text!r}")
+    return n
+
+
+def _resolution(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if not 2 <= n <= MAX_RES:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer in [2, {MAX_RES}], got {text!r}")
     return n
 
 
@@ -82,8 +99,10 @@ def _surface_from_args(args) -> tuple[SeparableSurface, tuple, dict]:
         return surface, box, desc
     if getattr(args, "spec", None):
         spec = _load_spec(args.spec)
-        surface = fam.build_surface(spec)
-        box = args.box or fam.admissible_box(spec)
+        if args.box:
+            surface, box = fam.build_surface(spec), args.box
+        else:
+            surface, box = fam.surface_and_box(spec)
         return surface, box, fam.family_to_json(spec)
     if getattr(args, "f", None):
         if not (args.f and args.g and args.h):
@@ -180,7 +199,8 @@ def build_parser() -> _Parser:
     p_fam.add_argument("--preset", help=f"named preset: {', '.join(sorted(fam.PRESETS))}")
     p_fam.add_argument("--mesh", help="output OBJ path")
     p_fam.add_argument("--report", help="output JSON sidecar path ('-' for stdout)")
-    p_fam.add_argument("--res", type=int, default=48, help="grid resolution per axis")
+    p_fam.add_argument("--res", type=_resolution, default=48,
+                       help=f"grid resolution per axis, 2..{MAX_RES}")
     p_fam.add_argument("--box", type=_parse_box,
                        help="x0,x1,y0,y1,z0,z1 (default: preset/admissible box)")
     p_fam.add_argument("--seed", type=int, default=42)
@@ -196,7 +216,8 @@ def build_parser() -> _Parser:
         p.add_argument("--preset", help=f"named preset: {', '.join(sorted(fam.PRESETS))}")
         p.add_argument("--box", type=_parse_box,
                        help="x0,x1,y0,y1,z0,z1 sampling box")
-        p.add_argument("--n", type=_positive_int, default=n_default, help="sample count")
+        p.add_argument("--n", type=_sample_count, default=n_default,
+                       help=f"sample count, at most {MAX_SAMPLES}")
         p.add_argument("--seed", type=int, default=42)
         p.add_argument("--report", default="-", help="report path ('-' for stdout)")
         p.set_defaults(func=func)

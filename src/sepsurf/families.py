@@ -2,10 +2,13 @@
 
 Each family is a small frozen parameter class (``FamilySpec``) that carries
 its own rules: ``_build`` makes the ``SeparableSurface`` (domains restricted
-so every component expression is real and regular), ``_box`` the default
-sampling box, and ``_params``/``_from_params`` the JSON params.
-``build_surface``, ``admissible_box``, ``family_to_json`` and
-``family_from_json`` reach them through one tag registry.  The families:
+so every component expression is real and regular), ``_box(surf)`` the
+default sampling box, and ``_params``/``_from_params`` the JSON params.
+Box rules that read the built surface take it as ``surf`` and build it
+only when given None, so ``surface_and_box`` builds once.
+``build_surface``, ``admissible_box``, ``surface_and_box``,
+``family_to_json`` and ``family_from_json`` reach them through one tag
+registry.  The families:
 
 * right cylinders, translation surfaces, rotational surfaces (the three
   elementary shapes),
@@ -46,6 +49,7 @@ __all__ = [
     "build_surface",
     "rotational_profile",
     "admissible_box",
+    "surface_and_box",
     "family_to_json",
     "family_from_json",
     "PRESETS",
@@ -143,8 +147,8 @@ class RightCylinder:
                                 name=f"right-cylinder[{self.plane} absent]",
                                 preferred_axis={"z": 1, "y": 2, "x": 2}[self.plane])
 
-    def _box(self) -> Box:
-        surf = build_surface(self)
+    def _box(self, surf: Optional[SeparableSurface]) -> Box:
+        surf = surf or build_surface(self)
         wins = [
             _window(comp.domain, -1.5, 1.5, 1e-6) for comp in surf.components
         ]
@@ -184,8 +188,8 @@ class Translation:
         h = Func1D.parse("-z", "z")
         return SeparableSurface(f, g, h, name=f"translation[a={self.a:g}]")
 
-    def _box(self) -> Box:
-        surf = build_surface(self)
+    def _box(self, surf: Optional[SeparableSurface]) -> Box:
+        surf = surf or build_surface(self)
         gx = _window(surf.g.domain, -1.2, 1.2, 1e-6)
         xs = np.linspace(-1.2, 1.2, 13)
         ys = np.linspace(gx[0], gx[1], 13)
@@ -223,8 +227,8 @@ class RotationalParabolic:
         h = Func1D(Binary("sub", Const(float(self.c)), hz.ast), hz.domain, "z")
         return SeparableSurface(f, g, h, name="rotational-parabolic")
 
-    def _box(self) -> Box:
-        surf = build_surface(self)
+    def _box(self, surf: Optional[SeparableSurface]) -> Box:
+        surf = surf or build_surface(self)
         hz = _window(surf.h.domain, -1.0, 1.0, 1e-9)
         return (-2.0, 2.0, -2.0, 2.0, hz[0], hz[1])
 
@@ -265,8 +269,8 @@ class RotationalCGC:
         g = Func1D.parse("y^2", "y")
         return SeparableSurface(f, g, tab, name=f"rotational-cgc[K={self.K:g}]")
 
-    def _box(self) -> Box:
-        surf = build_surface(self)
+    def _box(self, surf: Optional[SeparableSurface]) -> Box:
+        surf = surf or build_surface(self)
         tab = surf.h
         zlo, zhi = tab.domain
         dz = 0.02 * (zhi - zlo)
@@ -321,7 +325,7 @@ class GeneralizedCone:
             comps.append(Func1D.parse(src, var, _chart_domain(m, n, +1)))
         return SeparableSurface(*comps, name=f"generalized-cone[p={self.p:g}]")
 
-    def _box(self) -> Box:
+    def _box(self, surf: Optional[SeparableSurface]) -> Box:
         # all bases over [0.5, 2]: the z base s1^p s2^q passes through 1
         # when s1 = s2 = 1, so the box always contains a patch
         wins = [_base_window(m, n, +1) for m, n in zip(self.m, self.n)]
@@ -377,7 +381,7 @@ class ExpCylinder:
         with np.errstate(all="ignore"):
             return np.log(t / n3) / m3
 
-    def _box(self) -> Box:
+    def _box(self, surf: Optional[SeparableSurface]) -> Box:
         # solve the z term analytically over a probe grid to bound the window
         z = self._probe_z()
         z = z[np.isfinite(z)]
@@ -465,7 +469,7 @@ class ConicalPower:
             comps.append(Func1D.parse(src, var, _chart_domain(m, n, side)))
         return SeparableSurface(*comps, name=f"conical-power[k={self.k:g}]")
 
-    def _box(self) -> Box:
+    def _box(self, surf: Optional[SeparableSurface]) -> Box:
         # same idea as the generalized cone: the third term's magnitude
         # equals the sum of the first two
         layout = self._layout()
@@ -778,7 +782,13 @@ def build_surface(spec: FamilySpec) -> SeparableSurface:
 
 def admissible_box(spec: FamilySpec) -> Box:
     """Default sampling box: interior to the charts, containing a regular patch."""
-    return _checked(spec)._box()
+    return _checked(spec)._box(None)
+
+
+def surface_and_box(spec: FamilySpec) -> tuple[SeparableSurface, Box]:
+    """``build_surface`` and ``admissible_box`` from one build."""
+    surf = build_surface(spec)
+    return surf, spec._box(surf)
 
 
 def family_to_json(spec: FamilySpec) -> dict:

@@ -285,14 +285,34 @@ def classify(surface: SeparableSurface, points: np.ndarray,
 
 def collect_samples(surface: SeparableSurface, box, n_min: int, seed: int = 42,
                     axis: Optional[int] = None) -> np.ndarray:
-    """At least n_min on-surface points in the box, deterministic in the seed."""
-    n_side = max(10, int(math.ceil(math.sqrt(n_min * 0.9))))
-    for _ in range(4):
-        grid = GridSpec(box=tuple(box), nx=n_side, ny=n_side, nz=n_side, seed=seed)
+    """At least n_min on-surface points in the box, deterministic in the seed.
+
+    Two-phase sampling (Cochran, *Sampling Techniques*, ch. 12): ``full``
+    is the side of a square grid of columns sized for about 1.1 points per
+    column.  The first grid is a pilot of side ``min(full, 32)``, which is
+    ``full`` itself for n_min <= 1137.  A short grid with k > 0 points sizes
+    the next side from its yield, ``ceil(side * sqrt(1.1 * n_min / k))``,
+    at least ``ceil(1.1 * side)``; a grid with no points goes straight to
+    the largest side, ``8 * full``, as does the last of the four attempts.
+    The points of a short grid are dropped, and a short ``8 * full`` grid
+    raises TooFewPointsError.
+    """
+    full = max(10, int(math.ceil(math.sqrt(n_min * 0.9))))
+    last = 8 * full
+    side = min(full, 32)
+    for attempt in range(4):
+        grid = GridSpec(box=tuple(box), nx=side, ny=side, nz=side, seed=seed)
         pts = sample_points(surface, grid, axis=axis)
-        if len(pts) >= n_min:
+        k = len(pts)
+        if k >= n_min:
             return pts
-        n_side *= 2
+        if side == last:
+            break
+        if k == 0 or attempt == 2:
+            side = last
+        else:
+            side = min(last, max(math.ceil(1.1 * side),
+                                 math.ceil(side * math.sqrt(1.1 * n_min / k))))
     raise TooFewPointsError(
         f"could not gather {n_min} points on {surface!r} in {box}")
 
@@ -337,9 +357,7 @@ def catalog(seed: int = 42) -> list[CatalogEntry]:
         (-1.6, 1.6, -1.6, 1.6, -1.0, 1.0), 0.0, axis=1))
 
     tr = fam.Translation(a=0.75, g=Func1D.parse("y^2+sin(y)", "y"))
-    entries.append(CatalogEntry(
-        "translation-quadratic", fam.build_surface(tr),
-        fam.admissible_box(tr), 0.0))
+    entries.append(CatalogEntry("translation-quadratic", *fam.surface_and_box(tr), 0.0))
 
     # h absorbs the completed squares so F = (x+a/2)^2 + (y+b/2)^2 - (0.8z+2)^2
     rp = fam.RotationalParabolic(
@@ -350,8 +368,7 @@ def catalog(seed: int = 42) -> list[CatalogEntry]:
 
     for K, r0, tagname in ((1.0, 0.55, "spindle-K1"), (-1.0, 0.5, "rotational-Kneg1")):
         spec = fam.RotationalCGC(K=K, r0=r0, dr0=0.0)
-        entries.append(CatalogEntry(
-            tagname, fam.build_surface(spec), fam.admissible_box(spec), K))
+        entries.append(CatalogEntry(tagname, *fam.surface_and_box(spec), K))
 
     entries.append(CatalogEntry(
         "catenoid", _surface("x^2", "y^2", "-cosh(z)^2", "catenoid"),

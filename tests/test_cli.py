@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import time
 import warnings
 
 import pytest
 
+import sepsurf
+from sepsurf import families
 from sepsurf.cli import main
 
 # values starting with '-' use the --flag=value form so argparse keeps them
@@ -252,3 +257,47 @@ def test_non_finite_box_exits_64(capsys, box):
     assert exc.value.code == 64
     err = capsys.readouterr().err
     assert "--box: values must be finite" in err and "Warning" not in err
+
+
+@pytest.mark.parametrize("n", ["100001", "1000000000000"])
+def test_sample_count_above_the_cap_exits_64(capsys, n):
+    with pytest.raises(SystemExit) as exc:
+        main(["curvature", "--preset", "paper-fig1-left", f"--n={n}"])
+    assert exc.value.code == 64
+    assert "--n: expected at most 100000" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("res", ["1", "-3", "0", "257", "100000000", "1e3", "x"])
+def test_resolution_out_of_range_exits_64(capsys, res):
+    with pytest.raises(SystemExit) as exc:
+        main(["family", "--preset", "paper-fig1-left", f"--res={res}"])
+    assert exc.value.code == 64
+    assert "--res: expected an integer in [2, 256]" in capsys.readouterr().err
+
+
+def test_spec_job_integrates_the_profile_once(monkeypatch, capsys):
+    calls = []
+    real = families.rotational_profile
+    monkeypatch.setattr(families, "rotational_profile",
+                        lambda *a: calls.append(a) or real(*a))
+    spec = json.dumps({"family": "rotational-cgc", "params": {"K": 1.0, "r0": 0.55}})
+    assert main(["family", "--spec", spec, "--res", "8"]) == 0
+    assert len(calls) == 1
+
+
+def test_cli_import_loads_only_the_standard_library_and_numpy():
+    # what the benchmark's setup probe times: a fresh process that imports
+    # the CLI and builds its parser
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "from sepsurf import cli\n"
+        "cli.build_parser()\n"
+        "new = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
+        "print(' '.join(sorted(new - set(sys.stdlib_module_names) - {'numpy', 'sepsurf'})))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sepsurf.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.split() == []

@@ -1,8 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
+from sepsurf import verify
 from sepsurf.expr import Func1D
 from sepsurf.families import (
+    PRESETS,
     ExpCylinder,
     Translation,
     admissible_box,
@@ -10,6 +14,8 @@ from sepsurf.families import (
     preset_box,
     preset_surface,
 )
+from sepsurf.geometry import SeparableSurface
+from sepsurf.sampler import GridSpec, sample_points
 from sepsurf.verify import (
     TooFewPointsError,
     catalog,
@@ -219,3 +225,109 @@ def test_suite_all_samples_the_catalog_once(monkeypatch):
     run_theorem_suite("all", seed=42)
     assert calls == [1000] * 12
     assert len(seen) == 2 and seen[0][1] is seen[1][1] and seen[0][0] == 12
+
+
+# -- the grid schedule of collect_samples ------------------------------------------
+
+
+def _unit_sphere():
+    return SeparableSurface(Func1D.parse("x^2", "x"), Func1D.parse("y^2", "y"),
+                            Func1D.parse("z^2-1", "z"), name="sphere")
+
+
+# the sample-dense targets: the three Fig. 1 presets and the unit sphere
+_DENSE = {name: (preset_surface(name), preset_box(name)) for name in sorted(PRESETS)}
+_DENSE["sphere"] = (_unit_sphere(), (-1.0, 1.0, -1.0, 1.0, -1.0, 1.0))
+
+
+def _full(n_min):
+    return max(10, math.ceil(math.sqrt(0.9 * n_min)))
+
+
+@pytest.fixture
+def sides(monkeypatch):
+    """The side of every grid collect_samples solves, in order."""
+    seen = []
+    real = verify.sample_points
+
+    def counted(surface, grid, axis=None):
+        seen.append(grid.nx)
+        return real(surface, grid, axis=axis)
+
+    monkeypatch.setattr(verify, "sample_points", counted)
+    return seen
+
+
+def _fake_yields(monkeypatch, yields):
+    """sample_points stand-in that returns yields(side) points; records sides."""
+    seen = []
+
+    def fake(surface, grid, axis=None):
+        seen.append(grid.nx)
+        return np.zeros((yields(grid.nx), 3))
+
+    monkeypatch.setattr(verify, "sample_points", fake)
+    return seen
+
+
+@pytest.mark.parametrize("name", sorted(_DENSE))
+def test_dense_collection_keeps_about_what_was_asked(name, sides):
+    surface, box = _DENSE[name]
+    for seed in range(1, 6):
+        sides.clear()
+        pts = collect_samples(surface, box, 10_000, seed=seed)
+        assert 10_000 <= len(pts) <= 13_000, (seed, sides, len(pts))
+        assert len(sides) <= 2 and sides[0] == 32, (seed, sides)
+
+
+@pytest.mark.parametrize("n_min", [200, 400, 1000, 1137])
+def test_small_collection_is_the_first_grid(n_min, sides):
+    surface, box = _DENSE["sphere"]
+    for seed in (1, 42):
+        sides.clear()
+        pts = collect_samples(surface, box, n_min, seed=seed)
+        full = _full(n_min)
+        assert sides == [full]
+        grid = GridSpec(box=box, nx=full, ny=full, nz=full, seed=seed)
+        assert pts.tobytes() == sample_points(surface, grid).tobytes()
+    for name in sorted(PRESETS):
+        sides.clear()
+        collect_samples(*_DENSE[name], n_min, seed=3)
+        assert sides[0] == _full(n_min)
+
+
+def test_short_grid_sizes_the_next_from_its_yield(monkeypatch):
+    seen = _fake_yields(monkeypatch, lambda side: 10_000 if side > 32 else 500)
+    assert len(collect_samples(None, (0, 1, 0, 1, 0, 1), 10_000)) == 10_000
+    assert seen == [32, math.ceil(32 * math.sqrt(1.1 * 10_000 / 500))]
+
+
+def test_zero_yield_goes_straight_to_the_last_grid(monkeypatch):
+    last = 8 * _full(10_000)
+    seen = _fake_yields(monkeypatch, lambda side: 10_000 if side == last else 0)
+    collect_samples(None, (0, 1, 0, 1, 0, 1), 10_000)
+    assert seen == [32, last]
+
+
+def test_slow_growth_still_tries_the_last_grid(monkeypatch):
+    # a yield just short of n_min grows the side by the 1.1 floor only; the
+    # fourth attempt is the last grid whatever the third one gave
+    seen = _fake_yields(monkeypatch, lambda side: 9_999)
+    with pytest.raises(TooFewPointsError):
+        collect_samples(None, (0, 1, 0, 1, 0, 1), 10_000)
+    assert seen == [32, 36, 40, 8 * _full(10_000)]
+
+
+@pytest.mark.parametrize("n_min", [400, 10_000])
+def test_empty_box_raises_after_the_last_grid(n_min, sides):
+    surface, _ = _DENSE["sphere"]
+    with pytest.raises(TooFewPointsError):
+        collect_samples(surface, (2.0, 3.0, 2.0, 3.0, 2.0, 3.0), n_min, seed=5)
+    assert sides == [min(_full(n_min), 32), 8 * _full(n_min)]
+
+
+def test_collection_is_deterministic_in_the_seed():
+    for name in sorted(_DENSE):
+        a = collect_samples(*_DENSE[name], 10_000, seed=4)
+        b = collect_samples(*_DENSE[name], 10_000, seed=4)
+        assert a.tobytes() == b.tobytes()
