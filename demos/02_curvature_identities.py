@@ -43,7 +43,7 @@ jet = implicit_jet(sphere, (0.6, 0.0, 0.8))
 rng = np.random.default_rng(1)
 for i in range(3):
     Q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
-    moved = transform_jet(jet, Q, rng.normal(size=3))
+    moved = transform_jet(jet, Q)
     print(f"random rotation {i}: K = {gauss_curvature_implicit(moved):.15f}")
 
 print("\n== the squared-slope identity ==")

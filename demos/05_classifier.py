@@ -12,7 +12,6 @@ import json
 import numpy as np
 
 from sepsurf import Func1D, SeparableSurface
-from sepsurf.families import build_surface
 from sepsurf.verify import classify, collect_samples, random_family
 
 rng = np.random.default_rng(2024)
@@ -20,8 +19,7 @@ rng = np.random.default_rng(2024)
 print("== one random instance per family ==")
 for tag in ("right-cylinder", "translation", "rotational-parabolic",
             "generalized-cone", "exp-cylinder", "conical-power", "rotational-cgc"):
-    spec, box = random_family(tag, rng)
-    surf = build_surface(spec)
+    spec, surf, box = random_family(tag, rng)
     pts = collect_samples(surf, box, 260, seed=7)
     res = classify(surf, pts)
     params = {k: round(v, 6) for k, v in res.parameters.items()}

@@ -12,7 +12,6 @@ from .expr import (
     Jet3,
     ParseError,
     differentiate,
-    eval_jet3,
     evaluate,
     parse_expr,
     print_expr,
@@ -59,7 +58,6 @@ from .sampler import (
     sample_points,
     solve_axis,
     solve_many,
-    solve_z,
 )
 from .verify import (
     ClassificationResult,

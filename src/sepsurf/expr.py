@@ -30,9 +30,9 @@ scalar-exponent paths: ``^-1``, ``^0.5`` and ``^2`` are the correctly
 rounded ``1/x``, ``sqrt(x)`` and ``x*x``.  Other exponents go through
 numpy's pow and may differ from ``math.pow`` by an ulp, as numpy's
 elementary functions may differ from the ``math`` module's.  The scalar
-calls (``evaluate``, ``Func1D.value``, ``jet3`` and ``deriv_value``) are
-one-row views of it that raise EvalDomainError where the row comes back
-NaN.
+calls (``evaluate``, and ``value``, ``jet3`` and ``deriv_value`` of every
+``Component``) are one-row views of the array calls that raise
+EvalDomainError where the row comes back NaN.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ __all__ = [
     "Var",
     "Unary",
     "Binary",
+    "Component",
     "Func1D",
     "Jet3",
     "ExprError",
@@ -64,7 +65,6 @@ __all__ = [
     "simplify",
     "evaluate",
     "eval_array",
-    "eval_jet3",
 ]
 
 
@@ -584,7 +584,71 @@ class Jet3:
         return (self.v, self.d1, self.d2, self.d3)
 
 
-class Func1D:
+class Component:
+    """A one-variable component of a separable surface on an open domain.
+
+    A subclass provides ``domain`` and ``_cols(xs, orders)``: the columns
+    f^(k) for each k in ``orders`` (0 to 3) on a float array, as fresh
+    arrays.  The rest is implemented here once: NaN outside the domain, the
+    array calls, and the scalar calls as one-row views of them that raise
+    EvalDomainError outside the domain or where the row comes back NaN.
+    ``tabulated`` marks components that interpolate rather than evaluate a
+    closed form.
+    """
+
+    domain: tuple[float, float]
+    tabulated = False
+
+    def _cols(self, xs: np.ndarray, orders: tuple[int, ...]) -> list[np.ndarray]:
+        raise NotImplementedError
+
+    def contains(self, x: float) -> bool:
+        lo, hi = self.domain
+        return lo < x < hi
+
+    def _check(self, x: float) -> None:
+        if not self.contains(x):
+            raise EvalDomainError(
+                f"{x!r} outside domain ({self.domain[0]}, {self.domain[1]})")
+
+    def _masked_cols(self, xs: np.ndarray, orders: tuple[int, ...]) -> list[np.ndarray]:
+        xs = np.asarray(xs, dtype=float)
+        cols = self._cols(xs, orders)
+        lo, hi = self.domain
+        bad = (xs <= lo) | (xs >= hi)
+        for col in cols:
+            col[bad] = np.nan
+        return cols
+
+    def value_array(self, xs: np.ndarray) -> np.ndarray:
+        """f array; NaN outside the domain."""
+        return self._masked_cols(xs, (0,))[0]
+
+    def d1_array(self, xs: np.ndarray) -> np.ndarray:
+        """f' array, equal to jet3_array's d1; NaN outside the domain."""
+        return self._masked_cols(xs, (1,))[0]
+
+    def jet3_array(self, xs: np.ndarray) -> tuple[np.ndarray, ...]:
+        """(value, d1, d2, d3) arrays; NaN outside the domain."""
+        return tuple(self._masked_cols(xs, (0, 1, 2, 3)))
+
+    def _row(self, x: float, orders: tuple[int, ...]) -> list[float]:
+        self._check(x)
+        return [_one(col, x) for col in self._masked_cols(np.array([float(x)]), orders)]
+
+    def value(self, x: float) -> float:
+        return self._row(x, (0,))[0]
+
+    __call__ = value
+
+    def jet3(self, x: float) -> Jet3:
+        return Jet3(*self._row(x, (0, 1, 2, 3)))
+
+    def deriv_value(self, x: float, order: int = 1) -> float:
+        return self._row(x, (order,))[0]
+
+
+class Func1D(Component):
     """A one-variable function: expression tree plus an open domain interval.
 
     Immutable after construction; derivative trees are built once, up front,
@@ -599,9 +663,9 @@ class Func1D:
         self.ast = simplify(ast)
         self.domain = (lo, hi)
         self.var = var
-        self._d1 = differentiate(self.ast)
-        self._d2 = differentiate(self._d1)
-        self._d3 = differentiate(self._d2)
+        d1 = differentiate(self.ast)
+        d2 = differentiate(d1)
+        self._trees = (self.ast, d1, d2, differentiate(d2))
 
     @classmethod
     def parse(cls, src: str, var: str = "x",
@@ -614,57 +678,5 @@ class Func1D:
     def source(self) -> str:
         return print_expr(self.ast)
 
-    def contains(self, x: float) -> bool:
-        lo, hi = self.domain
-        return lo < x < hi
-
-    def _check(self, x: float) -> None:
-        if not self.contains(x):
-            raise EvalDomainError(
-                f"{x!r} outside domain ({self.domain[0]}, {self.domain[1]})")
-
-    def value(self, x: float) -> float:
-        self._check(x)
-        return _one(self.value_array(np.array([float(x)])), x)
-
-    __call__ = value
-
-    def jet3(self, x: float) -> Jet3:
-        self._check(x)
-        return Jet3(*(_one(col, x) for col in self.jet3_array(np.array([float(x)]))))
-
-    def _masked_array(self, tree: Ast, xs: np.ndarray) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
-        out = eval_array(tree, xs)
-        lo, hi = self.domain
-        out[(xs <= lo) | (xs >= hi)] = np.nan
-        return out
-
-    def value_array(self, xs: np.ndarray) -> np.ndarray:
-        return self._masked_array(self.ast, xs)
-
-    def d1_array(self, xs: np.ndarray) -> np.ndarray:
-        """f' array, equal to jet3_array's d1; NaN outside the domain."""
-        return self._masked_array(self._d1, xs)
-
-    def jet3_array(self, xs: np.ndarray) -> tuple[np.ndarray, ...]:
-        """(value, d1, d2, d3) arrays; NaN outside the domain."""
-        xs = np.asarray(xs, dtype=float)
-        lo, hi = self.domain
-        bad = (xs <= lo) | (xs >= hi)
-        cols = []
-        for tree in (self.ast, self._d1, self._d2, self._d3):
-            col = eval_array(tree, xs)
-            col[bad] = np.nan
-            cols.append(col)
-        return tuple(cols)
-
-    def deriv_value(self, x: float, order: int = 1) -> float:
-        self._check(x)
-        tree = (self.ast, self._d1, self._d2, self._d3)[order]
-        return evaluate(tree, x)
-
-
-def eval_jet3(f: Func1D, x: float) -> Jet3:
-    """Jet of f at x: (f, f', f'', f''')."""
-    return f.jet3(x)
+    def _cols(self, xs: np.ndarray, orders: tuple[int, ...]) -> list[np.ndarray]:
+        return [eval_array(self._trees[k], xs) for k in orders]

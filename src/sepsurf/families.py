@@ -17,7 +17,8 @@ registry.  The families:
 * the flat power-law cones ("conical power"),
 * rotational surfaces of constant nonzero curvature, built by integrating
   the profile equation r'' = -K r, z' = sqrt(1 - r'^2) in arclength and
-  tabulating h(z) = -r(z)^2.
+  tabulating h(z) = -r(z)^2 as a ``TabulatedFunc1D``, the piecewise-quintic
+  ``expr.Component`` beside the expression-backed ``Func1D``.
 
 Specs serialize to and from JSON documents ``{"family": tag, "params": {...}}``.
 """
@@ -31,7 +32,7 @@ from typing import Optional, get_args
 
 import numpy as np
 
-from .expr import Binary, Const, Func1D, Jet3
+from .expr import Binary, Component, Const, Func1D, Unary, Var
 from .geometry import SeparableSurface
 
 __all__ = [
@@ -513,13 +514,16 @@ _TAGS = {cls.tag: cls for cls in get_args(FamilySpec)}
 # -- tabulated functions --------------------------------------------------------
 
 
-class TabulatedFunc1D:
+class TabulatedFunc1D(Component):
     """Piecewise-quintic function from breakpoint jets (value, d1, d2).
 
     The interpolant matches value and two derivatives at both ends of every
     interval, so it is C^2 across breakpoints; the third derivative comes
-    from the quintic.  Immutable after construction.
+    from the quintic.  A ``Component`` that evaluates only the polynomials
+    a call asks for.  Immutable after construction.
     """
+
+    tabulated = True
 
     def __init__(self, breakpoints: np.ndarray, values: np.ndarray,
                  d1: np.ndarray, d2: np.ndarray):
@@ -567,55 +571,22 @@ class TabulatedFunc1D:
     def source(self) -> str:
         return repr(self)
 
-    def contains(self, x: float) -> bool:
-        lo, hi = self.domain
-        return lo < x < hi
-
-    def _locate(self, xs: np.ndarray) -> np.ndarray:
+    def _cols(self, xs: np.ndarray, orders: tuple[int, ...]) -> list[np.ndarray]:
         idx = np.searchsorted(self.breakpoints, xs, side="right") - 1
-        return np.clip(idx, 0, self.breakpoints.size - 2)
-
-    def _eval_cols(self, xs: np.ndarray) -> tuple[np.ndarray, ...]:
-        xs = np.asarray(xs, dtype=float)
-        idx = self._locate(xs)
+        idx = np.clip(idx, 0, self.breakpoints.size - 2)
         t = xs - self.breakpoints[idx]
-        c = self._coeffs[idx]
-        v = c[:, 0] + t * (c[:, 1] + t * (c[:, 2] + t * (c[:, 3] + t * (c[:, 4] + t * c[:, 5]))))
-        d1 = c[:, 1] + t * (2 * c[:, 2] + t * (3 * c[:, 3] + t * (4 * c[:, 4] + t * 5 * c[:, 5])))
-        d2 = 2 * c[:, 2] + t * (6 * c[:, 3] + t * (12 * c[:, 4] + t * 20 * c[:, 5]))
-        d3 = 6 * c[:, 3] + t * (24 * c[:, 4] + t * 60 * c[:, 5])
-        lo, hi = self.domain
-        bad = (xs <= lo) | (xs >= hi)
-        for col in (v, d1, d2, d3):
-            col[bad] = np.nan
-        return v, d1, d2, d3
+        c = self._coeffs[idx].T
+        return [_QUINTIC_HORNER[k](c, t) for k in orders]
 
-    def jet3_array(self, xs: np.ndarray) -> tuple[np.ndarray, ...]:
-        return self._eval_cols(xs)
 
-    def value_array(self, xs: np.ndarray) -> np.ndarray:
-        return self._eval_cols(xs)[0]
-
-    def d1_array(self, xs: np.ndarray) -> np.ndarray:
-        return self._eval_cols(xs)[1]
-
-    def _check(self, x: float) -> None:
-        if not self.contains(x):
-            from .expr import EvalDomainError
-
-            raise EvalDomainError(
-                f"{x!r} outside tabulated domain ({self.domain[0]}, {self.domain[1]})")
-
-    def value(self, x: float) -> float:
-        self._check(x)
-        return float(self._eval_cols(np.array([x]))[0][0])
-
-    __call__ = value
-
-    def jet3(self, x: float) -> Jet3:
-        self._check(x)
-        cols = self._eval_cols(np.array([x]))
-        return Jet3(*(float(col[0]) for col in cols))
+# the quintic c0 + c1 t + ... + c5 t^5 and its first three derivatives, in
+# Horner form
+_QUINTIC_HORNER = (
+    lambda c, t: c[0] + t * (c[1] + t * (c[2] + t * (c[3] + t * (c[4] + t * c[5])))),
+    lambda c, t: c[1] + t * (2 * c[2] + t * (3 * c[3] + t * (4 * c[4] + t * 5 * c[5]))),
+    lambda c, t: 2 * c[2] + t * (6 * c[3] + t * (12 * c[4] + t * 20 * c[5])),
+    lambda c, t: 6 * c[3] + t * (24 * c[4] + t * 60 * c[5]),
+)
 
 
 # -- the rotational profile ODE -------------------------------------------------
@@ -731,8 +702,6 @@ def _rebind(f: Func1D, var: str) -> Func1D:
 
 
 def _rename_var(node, var: str):
-    from .expr import Unary, Var
-
     if isinstance(node, Var):
         return Var(var)
     if isinstance(node, Const):

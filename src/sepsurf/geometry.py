@@ -14,8 +14,9 @@ slope X = f'^2 becomes a function of its own level value u = f(x); the
 per-axis constant kappa = (X/X')' = 1 - f' f''' / (2 f''^2) labels the
 flat branches downstream.
 
-Each formula has one implementation, on jet columns or on (N, 3) gradients
-and (N, 3, 3) Hessians.  The scalar functions (``implicit_jet``,
+The components f, g and h are ``expr.Component`` subclasses.  Each formula
+has one implementation, on jet columns or on (N, 3) gradients and (N, 3, 3)
+Hessians.  The scalar functions (``implicit_jet``,
 ``transform_jet``, ``gauss_curvature_implicit``, ``gauss_curvature_separable``,
 ``level_state``, ``k2_residual``, ``shift_level``) are one-row views of the
 batch ones.
@@ -29,7 +30,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .expr import EvalDomainError, Func1D, Jet3
+from .expr import EvalDomainError
 
 __all__ = [
     "REGULARITY_EPS",
@@ -60,9 +61,10 @@ class SingularPointError(Exception):
 class SeparableSurface:
     """The zero set of f(x) + g(y) + h(z).
 
-    Components only need ``value``, ``jet3``, ``value_array``, ``d1_array``,
-    ``jet3_array`` and ``domain``; both expression-backed Func1D and
-    tabulated functions qualify.  ``preferred_axis`` is the axis samplers
+    Components are ``expr.Component`` subclasses: the expression-backed
+    ``Func1D`` and the tabulated ``families.TabulatedFunc1D``.  A duck-typed
+    component has no ``tabulated`` flag, which ``verify.classify`` reads to
+    pick its constancy tolerance.  ``preferred_axis`` is the axis samplers
     solve along (0, 1 or 2); ``family_spec`` is the spec
     ``families.build_surface`` built the surface from, else None.
     Immutable; safe for concurrent shared reads.
@@ -87,16 +89,6 @@ class SeparableSurface:
     def value(self, p: Sequence[float]) -> float:
         x, y, z = p
         return self.f.value(x) + self.g.value(y) + self.h.value(z)
-
-    def jets(self, p: Sequence[float]) -> tuple[Jet3, Jet3, Jet3]:
-        x, y, z = p
-        return (self.f.jet3(x), self.g.jet3(y), self.h.jet3(z))
-
-    def on_surface(self, p: Sequence[float], tol: float = 1e-9) -> bool:
-        try:
-            return abs(self.value(p)) <= tol
-        except EvalDomainError:
-            return False
 
     def jet_arrays(self, pts: np.ndarray) -> tuple:
         """Per-axis jet columns for an (N, 3) point array.
@@ -235,17 +227,12 @@ def k2_residual(state: LevelState, K: float) -> float:
     return float(k2_residual_batch(vars(state), K))
 
 
-def transform_jet(
-    jet: ImplicitJet2,
-    rotation: np.ndarray,
-    translation: Sequence[float] = (0.0, 0.0, 0.0),
-) -> ImplicitJet2:
-    """Jet of F composed with the rigid motion q -> R q + t, at the preimage.
+def transform_jet(jet: ImplicitJet2, rotation: np.ndarray) -> ImplicitJet2:
+    """Jet of F composed with a rigid motion q -> R q + t, at the preimage.
 
-    grad -> R^T grad, hess -> R^T hess R; the value and the translation do
-    not enter.  The rotation must be orthogonal to 1e-12.
+    grad -> R^T grad, hess -> R^T hess R; the value is unchanged and the
+    translation t does not enter.  The rotation must be orthogonal to 1e-12.
     """
-    np.asarray(translation, dtype=float)  # shape check only
     grad, hess = _rotate_jet(jet.grad, jet.hess, rotation)
     return ImplicitJet2(jet.F, grad, hess)
 
@@ -349,15 +336,16 @@ def _shift_level_cols(func, x0: np.ndarray, du: float, steps: int = 12) -> tuple
         idx = np.flatnonzero(live)
         if idx.size == 0:
             break
-        jet = np.stack(func.jet3_array(x[idx]))
-        undefined = np.isnan(jet).any(axis=0)
-        flat = ~undefined & (jet[1] == 0.0)
+        xi = x[idx]
+        v, d1 = func.value_array(xi), func.d1_array(xi)
+        undefined = np.isnan(v) | np.isnan(d1)
+        flat = ~undefined & (d1 == 0.0)
         zero_slope[idx[flat]] = True
         stop = undefined | flat
         ok[idx[stop]] = False
         go = idx[~stop]
         with np.errstate(all="ignore"):
-            step = (jet[0][~stop] - target[go]) / jet[1][~stop]
+            step = (v[~stop] - target[go]) / d1[~stop]
             x[go] = x[go] - step
         live[idx[stop]] = False
         live[go[np.abs(step) <= 1e-15 * (1.0 + np.abs(x[go]))]] = False

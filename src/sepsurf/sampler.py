@@ -7,11 +7,12 @@ the critical points of h (bisected on h') where h' changes sign between
 them.  Each monotone run of node values brackets a target at most once,
 and one binary search per run finds that bracket for all columns at once;
 an evenly spaced interval that a critical point split is also searched
-whole, so every root a scan of the 257 nodes finds is kept.  Every bracket is then bisected to 1e-13 together and takes one Newton
-polish, and one sort groups the roots by column and drops duplicates.
-Time is O(runs * columns * log nodes + roots), memory O(columns + roots).
-The same engine backs the scalar ``solve_z`` and the batched samplers, so
-both produce bit-identical roots.  Meshes come from the standard 256-case
+whole, so every root a scan of the 257 nodes finds is kept.  Every bracket
+is then bisected to 1e-13 together and takes one Newton polish, and one
+sort groups the roots by column and drops duplicates.  Time is
+O(runs * columns * log nodes + roots), memory O(columns + roots).  The
+same engine backs the one-column ``solve_axis`` and the batched samplers,
+so both produce bit-identical roots.  Meshes come from the standard 256-case
 marching-cubes tables (Lorensen & Cline 1987), applied to all cells at once
 through global grid-edge ids, with vertices re-projected onto the zero set
 along their grid edge in one batched pass.  Everything is deterministic
@@ -35,7 +36,6 @@ __all__ = [
     "GridSpec",
     "Mesh",
     "SCAN_SUBDIVISIONS",
-    "solve_z",
     "solve_axis",
     "solve_many",
     "sample_points",
@@ -259,12 +259,6 @@ def solve_axis(surface: SeparableSurface, axis: int, c1: float, c2: float,
     return _solve_targets(comps[axis], np.array([target]), window)[1].tolist()
 
 
-def solve_z(surface: SeparableSurface, x: float, y: float,
-            window: Optional[tuple[float, float]] = None) -> list[float]:
-    """All z with h(z) = -(f(x) + g(y)) inside h's domain, ascending."""
-    return solve_axis(surface, 2, x, y, window)
-
-
 def solve_many(surface: SeparableSurface, c1: np.ndarray, c2: np.ndarray,
                window: Optional[tuple[float, float]] = None,
                axis: int = 2) -> np.ndarray:
@@ -320,8 +314,8 @@ def _polish_on_edges(func, t: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     """<=5 safeguarded Newton steps for func(t) = target on [lo, hi], per row.
 
     ``flo`` is func(lo).  A row stops once its residual is within 1e-12 or
-    its jet is undefined; a Newton step leaving the bracket is replaced by
-    bisection.
+    its value or slope is undefined; a Newton step leaving the bracket is
+    replaced by bisection.
     """
     t, a, b = t.copy(), lo.copy(), hi.copy()
     fa = flo - target
@@ -329,10 +323,11 @@ def _polish_on_edges(func, t: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     for _ in range(5):
         if not rows.size:
             break
-        jet = func.jet3_array(t[rows])
-        r = jet[0] - target[rows]
-        go = np.all(np.isfinite(jet), axis=0) & (np.abs(r) > 1e-12)
-        rows, r, d1, tr = rows[go], r[go], jet[1][go], t[rows][go]
+        tr = t[rows]
+        v, d1 = func.value_array(tr), func.d1_array(tr)
+        r = v - target[rows]
+        go = np.isfinite(v) & np.isfinite(d1) & (np.abs(r) > 1e-12)
+        rows, r, d1, tr = rows[go], r[go], d1[go], tr[go]
         right = r * fa[rows] > 0
         a[rows] = np.where(right, tr, a[rows])
         fa[rows] = np.where(right, r, fa[rows])

@@ -232,7 +232,7 @@ def estimate_structure(surface: SeparableSurface, points: np.ndarray,
 
 
 def _has_tabulated(surface: SeparableSurface) -> bool:
-    return any(not isinstance(c, Func1D) for c in surface.components)
+    return any(c.tabulated for c in surface.components)
 
 
 def classify(surface: SeparableSurface, points: np.ndarray,
@@ -393,7 +393,8 @@ def _random_func(rng: np.random.Generator, var: str) -> Func1D:
 
 
 def random_family(tag: str, rng: np.random.Generator):
-    """A random admissible FamilySpec of the given tag plus its sampling box."""
+    """A random admissible FamilySpec of the given tag, its surface and its
+    sampling box, from one build."""
     if tag == "right-cylinder":
         plane = "xyz"[int(rng.integers(3))]
         present = [c for c in "xyz" if c != plane]
@@ -405,12 +406,10 @@ def random_family(tag: str, rng: np.random.Generator):
                 break
         a = -(f.value(float(t0)) + g.value(float(s0)))
         spec = fam.RightCylinder(f=f, g=g, a=float(a), plane=plane)
-        return spec, fam.admissible_box(spec)
-    if tag == "translation":
+    elif tag == "translation":
         a = float(rng.uniform(0.5, 2.0)) * (1 if rng.random() < 0.5 else -1)
         spec = fam.Translation(a=a, g=_random_func(rng, "y"))
-        return spec, fam.admissible_box(spec)
-    if tag == "rotational-parabolic":
+    elif tag == "rotational-parabolic":
         a, b = (float(v) for v in rng.uniform(-0.8, 0.8, size=2))
         alpha = float(rng.uniform(0.6, 1.4)) * (1 if rng.random() < 0.5 else -1)
         beta = float(rng.uniform(2.5, 4.0))
@@ -420,8 +419,8 @@ def random_family(tag: str, rng: np.random.Generator):
             a=a, b=b, c=0.0,
             h=Func1D.parse(f"({alpha!r}*z+{beta!r})^2-{c0!r}", "z"))
         w = 0.85 * (beta + abs(alpha))  # box wide enough to reach the cone radius
-        return spec, (-w, w, -w, w, -1.0, 1.0)
-    if tag == "generalized-cone":
+        return spec, fam.build_surface(spec), (-w, w, -w, w, -1.0, 1.0)
+    elif tag == "generalized-cone":
         while True:
             p = float(rng.uniform(-3.0, 3.0))
             if abs(p) > 0.15 and abs(p - 1.0) > 0.15:
@@ -430,8 +429,7 @@ def random_family(tag: str, rng: np.random.Generator):
                   for _ in range(3))
         n = tuple(float(v) for v in rng.uniform(-0.4, 0.4, size=3))
         spec = fam.GeneralizedCone(p=p, m=m, n=n)
-        return spec, fam.admissible_box(spec)
-    if tag == "exp-cylinder":
+    elif tag == "exp-cylinder":
         # redraw slivers: a quarter of the box's probe columns must be solvable
         while True:
             m = tuple(float(rng.uniform(0.5, 1.5)) * (1 if rng.random() < 0.5 else -1)
@@ -441,19 +439,19 @@ def random_family(tag: str, rng: np.random.Generator):
             n = tuple(float(mags[i]) * (-1 if i == minority else 1) for i in range(3))
             spec = fam.ExpCylinder(m=m, n=n)
             if np.mean(np.isfinite(spec._probe_z())) >= 0.25:
-                return spec, fam.admissible_box(spec)
-    if tag == "conical-power":
+                break
+    elif tag == "conical-power":
         spec = fam.ConicalPower(k=_draw_conical_k(rng), m=tuple(
             float(rng.uniform(0.5, 2.0)) * (1 if rng.random() < 0.5 else -1)
             for _ in range(3)), n=tuple(float(v) for v in rng.uniform(-0.4, 0.4, size=3)))
-        return spec, fam.admissible_box(spec)
-    if tag == "rotational-cgc":
+    elif tag == "rotational-cgc":
         K = float(rng.uniform(0.5, 1.5)) * (1 if rng.random() < 0.5 else -1)
         r0 = float(rng.uniform(0.4, 0.7))
         dr0 = float(rng.uniform(-0.2, 0.2))
         spec = fam.RotationalCGC(K=K, r0=r0, dr0=dr0)
-        return spec, fam.admissible_box(spec)
-    raise ValueError(f"unknown family tag {tag!r}")
+    else:
+        raise ValueError(f"unknown family tag {tag!r}")
+    return (spec, *fam.surface_and_box(spec))
 
 
 def _draw_conical_k(rng: np.random.Generator) -> float:
@@ -662,8 +660,7 @@ def _suite_families(report: TheoremCheckReport, seed: int, entries, samples) -> 
     for tag in ("right-cylinder", "translation", "generalized-cone",
                 "exp-cylinder", "conical-power"):
         for _ in range(5):
-            spec, box = random_family(tag, rng)
-            surf = fam.build_surface(spec)
+            spec, surf, box = random_family(tag, rng)
             pts = collect_samples(surf, box, 1000, seed=seed)
             K = _regular_curvatures(surf, pts)
             worst = max(worst, float(np.max(np.abs(K))))
@@ -673,8 +670,7 @@ def _suite_families(report: TheoremCheckReport, seed: int, entries, samples) -> 
     # rotational profiles hit their target curvature
     worst, count = 0.0, 0
     for _ in range(4):
-        spec, box = random_family("rotational-cgc", rng)
-        surf = fam.build_surface(spec)
+        spec, surf, box = random_family("rotational-cgc", rng)
         pts = collect_samples(surf, box, 600, seed=seed)
         K = _regular_curvatures(surf, pts)
         worst = max(worst, float(np.max(np.abs(K - spec.K))))
@@ -696,8 +692,7 @@ def _suite_families(report: TheoremCheckReport, seed: int, entries, samples) -> 
     worst, count = 0.0, 0
     for tag in ("generalized-cone", "conical-power"):
         for _ in range(5):
-            spec, box = random_family(tag, rng)
-            surf = fam.build_surface(spec)
+            spec, surf, box = random_family(tag, rng)
             pts = collect_samples(surf, box, 200, seed=seed)[:120]
             apex = np.array(spec.apex)
             for t in (0.5, 2.0):
@@ -712,8 +707,7 @@ def _suite_families(report: TheoremCheckReport, seed: int, entries, samples) -> 
     # exponential cylinders are ruled along the generator direction
     worst, count = 0.0, 0
     for _ in range(5):
-        spec, box = random_family("exp-cylinder", rng)
-        surf = fam.build_surface(spec)
+        spec, surf, box = random_family("exp-cylinder", rng)
         pts = collect_samples(surf, box, 200, seed=seed)[:120]
         d = np.array(spec.generator)
         for t in (-1.0, -0.5, 0.5, 1.0):
@@ -734,8 +728,7 @@ def _suite_classifier(report: TheoremCheckReport, seed: int,
     k_count = 0
     for tag in FAMILY_TAGS:
         for _ in range(per_tag):
-            spec, box = random_family(tag, rng)
-            surf = fam.build_surface(spec)
+            spec, surf, box = random_family(tag, rng)
             pts = collect_samples(surf, box, 220, seed=seed)
             result = classify(surf, pts)
             total += 1

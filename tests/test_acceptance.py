@@ -128,8 +128,7 @@ def test_criterion_5_branch_constant_recovery():
     rng = np.random.default_rng(4242)
     worst_k = 0.0
     for _ in range(20):
-        spec, box = random_family("conical-power", rng)
-        surf = build_surface(spec)
+        spec, surf, box = random_family("conical-power", rng)
         res = classify(surf, collect_samples(surf, box, 260, seed=42))
         assert res.label == "conical-power"
         worst_k = max(worst_k, abs(res.parameters["k"] - spec.k) / abs(spec.k))

@@ -11,6 +11,9 @@ import sepsurf
 from sepsurf import families
 from sepsurf.cli import main
 
+_SRC = os.path.dirname(os.path.dirname(os.path.abspath(sepsurf.__file__)))
+_DEMOS = os.path.join(os.path.dirname(_SRC), "demos")
+
 # values starting with '-' use the --flag=value form so argparse keeps them
 CATENOID = ["--f=x^2", "--g=y^2", "--h=-cosh(z)^2",
             "--box=-1.4,1.4,-1.4,1.4,-1,1"]
@@ -296,8 +299,18 @@ def test_cli_import_loads_only_the_standard_library_and_numpy():
         "new = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
         "print(' '.join(sorted(new - set(sys.stdlib_module_names) - {'numpy', 'sepsurf'})))\n"
     )
-    src = os.path.dirname(os.path.dirname(os.path.abspath(sepsurf.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=_SRC)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout.split() == []
+
+
+@pytest.mark.parametrize("name", sorted(n for n in os.listdir(_DEMOS) if n.endswith(".py")))
+def test_demo_runs(name, tmp_path):
+    # a copy runs, so demos that write files write them under tmp_path
+    with open(os.path.join(_DEMOS, name)) as fh:
+        (tmp_path / name).write_text(fh.read())
+    env = dict(os.environ, PYTHONPATH=_SRC)
+    out = subprocess.run([sys.executable, name], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr

@@ -21,7 +21,6 @@ from sepsurf.expr import (
     Var,
     differentiate,
     eval_array,
-    eval_jet3,
     evaluate,
     parse_expr,
     print_expr,
@@ -288,18 +287,18 @@ def test_print_parse_round_trip_exotic_powers(seed):
 
 def test_jet_polynomial():
     f = Func1D.parse("x^2")
-    assert eval_jet3(f, 3.0).as_tuple() == (9.0, 6.0, 2.0, 0.0)
+    assert f.jet3(3.0).as_tuple() == (9.0, 6.0, 2.0, 0.0)
 
 
 def test_jet_scaled_log():
     f = Func1D.parse("-2*log(x)", domain=(0.0, math.inf))
-    v, d1, d2, d3 = eval_jet3(f, 1.0).as_tuple()
+    v, d1, d2, d3 = f.jet3(1.0).as_tuple()
     assert (v, d1, d2, d3) == (0.0, -2.0, 2.0, -4.0)
 
 
 def test_jet_exp():
     f = Func1D.parse("exp(x)")
-    assert eval_jet3(f, 0.0).as_tuple() == (1.0, 1.0, 1.0, 1.0)
+    assert f.jet3(0.0).as_tuple() == (1.0, 1.0, 1.0, 1.0)
 
 
 def test_jet_outside_domain():

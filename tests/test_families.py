@@ -267,7 +267,7 @@ def _box_bits(box):
 def test_family_json_round_trip_random_draws(tag):
     rng = np.random.default_rng(20)
     for _ in range(3):
-        spec, _ = random_family(tag, rng)
+        spec, _, _ = random_family(tag, rng)
         doc = family_to_json(spec)
         again = family_from_json(json.loads(json.dumps(doc)))
         assert family_to_json(again) == doc
@@ -352,10 +352,26 @@ def test_surfaces_own_preferred_axis_and_family_spec():
 
 def test_d1_array_is_jet3_arrays_derivative_column():
     # the root engine bisects and polishes on d1_array alone; it must equal
-    # jet3_array's d1 bit for bit, NaN outside the domain included
+    # jet3_array's d1 bit for bit, NaN outside the domain included.  Both
+    # component kinds share one protocol: the scalar calls are rows of
+    # jet3_array and raise EvalDomainError at and beyond the domain ends
     xs = np.linspace(-0.5, 3.0, 301)
     f = Func1D.parse("sin(cos(exp(0.9*x)*x)/x)+log(x)", "x", (0.0, 2.5))
     tab = rotational_profile(1.0, 1.0, 0.0)
+    assert f.tabulated is False and tab.tabulated is True
     for func, pts in ((f, xs), (tab, np.linspace(*tab.domain, 301)[1:-1])):
         pts = np.concatenate([pts, [func.domain[0], func.domain[1]]])
-        assert func.d1_array(pts).tobytes() == func.jet3_array(pts)[1].tobytes()
+        jets = func.jet3_array(pts)
+        assert func.d1_array(pts).tobytes() == jets[1].tobytes()
+        assert func.value_array(pts).tobytes() == jets[0].tobytes()
+        lo, hi = func.domain
+        for i in np.flatnonzero((pts > lo) & (pts < hi))[::10]:
+            x = float(pts[i])
+            row = [float(col[i]).hex() for col in jets]
+            assert float(func.value(x)).hex() == float(func(x)).hex() == row[0]
+            assert [float(v).hex() for v in func.jet3(x).as_tuple()] == row
+            assert [float(func.deriv_value(x, k)).hex() for k in range(4)] == row
+        for x in (lo, hi, hi + 1.0):
+            for call in (func.value, func.jet3, func.deriv_value):
+                with pytest.raises(EvalDomainError):
+                    call(x)

@@ -19,7 +19,6 @@ from sepsurf.sampler import (
     sample_points,
     solve_axis,
     solve_many,
-    solve_z,
 )
 
 
@@ -33,7 +32,7 @@ def sphere(r=1.0):
 
 
 def test_solve_z_sphere():
-    roots = solve_z(sphere(), 0.6, 0.0)
+    roots = solve_axis(sphere(), 2, 0.6, 0.0)
     assert len(roots) == 2
     assert roots[0] == pytest.approx(-0.8, abs=1e-12)
     assert roots[1] == pytest.approx(0.8, abs=1e-12)
@@ -42,25 +41,25 @@ def test_solve_z_sphere():
 
 def test_solve_z_exp_cylinder():
     surf = preset_surface("paper-fig1-middle")
-    roots = solve_z(surf, 1.0, 0.0)
+    roots = solve_axis(surf, 2, 1.0, 0.0)
     assert len(roots) == 1
     assert roots[0] == pytest.approx(math.log(math.e - 1.0), abs=1e-12)
 
 
 def test_solve_z_outside_sphere_empty():
-    assert solve_z(sphere(), 2.0, 0.0) == []
+    assert solve_axis(sphere(), 2, 2.0, 0.0) == []
 
 
 def test_solve_z_residual_contract():
     surf = sphere(1.3)
     for (x, y) in ((0.2, 0.3), (-0.9, 0.1), (0.5, -0.5)):
         target = surf.f.value(x) + surf.g.value(y)
-        for z in solve_z(surf, x, y):
+        for z in solve_axis(surf, 2, x, y):
             assert abs(surf.h.value(z) + target) <= 1e-12 * (1.0 + abs(target))
 
 
 def test_solve_z_window_restricts():
-    roots = solve_z(sphere(), 0.6, 0.0, window=(0.0, 2.0))
+    roots = solve_axis(sphere(), 2, 0.6, 0.0, window=(0.0, 2.0))
     assert len(roots) == 1 and roots[0] == pytest.approx(0.8, abs=1e-12)
 
 

@@ -139,8 +139,7 @@ def test_classify_cylinder_translation_rotational(entries):
 def test_classify_conical_k_recovery():
     rng = np.random.default_rng(99)
     for _ in range(5):
-        spec, box = random_family("conical-power", rng)
-        surf = build_surface(spec)
+        spec, surf, box = random_family("conical-power", rng)
         res = classify(surf, _samples(surf, box))
         assert res.label == "conical-power"
         assert res.parameters["k"] == pytest.approx(spec.k, rel=1e-6)
@@ -174,8 +173,7 @@ def test_random_families_build_and_sample():
     for tag in ("right-cylinder", "translation", "rotational-parabolic",
                 "generalized-cone", "exp-cylinder", "conical-power",
                 "rotational-cgc"):
-        spec, box = random_family(tag, rng)
-        surf = build_surface(spec)
+        spec, surf, box = random_family(tag, rng)
         pts = _samples(surf, box, n=80, seed=3)
         assert len(pts) >= 80
         assert np.max(np.abs(surf.value_arrays(pts))) <= 1e-9
