@@ -33,6 +33,13 @@ elementary functions may differ from the ``math`` module's.  The scalar
 calls (``evaluate``, and ``value``, ``jet3`` and ``deriv_value`` of every
 ``Component``) are one-row views of the array calls that raise
 EvalDomainError where the row comes back NaN.
+
+``enclose`` bounds a tree over arrays of intervals: the natural interval
+extension, widened outward by a few ulps, so each row holds every value the
+tree takes on its interval.  NaN marks a row it cannot bound (a pole or a
+domain edge inside the interval, a non-constant exponent).  The root engine
+uses the enclosure of f' to prove an interval monotone; a NaN row proves
+nothing, and a ``Component`` that is not a closed form encloses nothing.
 """
 
 from __future__ import annotations
@@ -65,6 +72,7 @@ __all__ = [
     "simplify",
     "evaluate",
     "eval_array",
+    "enclose",
 ]
 
 
@@ -331,6 +339,123 @@ def _eval_vec(node: Ast, xs: np.ndarray) -> np.ndarray:
     # pow: numpy keeps the sign for integral exponents on negative bases
     # and yields nan for fractional ones
     return np.power(a, b)
+
+
+# -- interval enclosure -------------------------------------------------------
+
+# outward widening of every rounded endpoint, relative: at least four ulps,
+# then one more by nextafter.  numpy's vectorized exp, log and sin are not
+# correctly rounded, so one ulp would not be enough
+_WIDEN = 4 * 2.0 ** -52
+
+
+def enclose(node: Ast, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Interval enclosure of the tree over each interval [lo_i, hi_i].
+
+    The natural interval extension (Moore, Kearfott & Cloud, *Introduction
+    to Interval Analysis*, 2009, ch. 5): every operation maps enclosures of
+    its operands to an interval holding all the values it takes on them,
+    widened outward by a few ulps.  So each row ``[elo, ehi]`` holds the
+    tree's real values on its interval, and ``eval_array``'s.  A NaN row is
+    "not enclosed": division by an interval holding 0, a negative power of
+    an interval holding 0, a fractional power, log or sqrt of an interval
+    reaching 0 or below, a non-constant exponent, or a NaN on the way.
+    Rows come back as float64 arrays of the shape of ``lo``.
+    """
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    with np.errstate(all="ignore"):
+        elo, ehi = _enclose(node, lo, hi)
+    # constant subtrees enclose as scalars: broadcast to the rows
+    elo, ehi = np.broadcast_to(elo, lo.shape), np.broadcast_to(ehi, lo.shape)
+    bad = np.isnan(elo) | np.isnan(ehi)
+    return np.where(bad, np.nan, elo), np.where(bad, np.nan, ehi)
+
+
+def _out(lo, hi) -> tuple:
+    return (np.nextafter(lo - np.abs(lo) * _WIDEN, -np.inf),
+            np.nextafter(hi + np.abs(hi) * _WIDEN, np.inf))
+
+
+def _even(lo, hi, flo, fhi, fmin) -> tuple:
+    """Range of an even function rising in |x| with minimum fmin at 0."""
+    holds0 = (lo <= 0.0) & (hi >= 0.0)
+    return np.where(holds0, fmin, np.minimum(flo, fhi)), np.maximum(flo, fhi)
+
+
+def _sin_cos(op: str, lo, hi) -> tuple:
+    fn = getattr(np, op)
+    flo, fhi = fn(lo), fn(hi)
+    rlo, rhi = np.minimum(flo, fhi), np.maximum(flo, fhi)
+    # a full period, or arguments too large to place a peak reliably (every
+    # test here is False on a NaN end, so NaN stays NaN)
+    wide = (hi - lo >= 2.0 * np.pi) | (np.maximum(np.abs(lo), np.abs(hi)) >= 1e6)
+    peak = 0.5 * np.pi if op == "sin" else 0.0
+
+    def holds(phase):  # some phase + 2k*pi in [lo, hi], with slack to spare
+        k_lo = np.ceil((lo - phase) / (2.0 * np.pi) - 1e-9)
+        return k_lo <= np.floor((hi - phase) / (2.0 * np.pi) + 1e-9)
+
+    return (np.where(wide | holds(peak + np.pi), -1.0, rlo),
+            np.where(wide | holds(peak), 1.0, rhi))
+
+
+def _pow_const(lo, hi, p: float) -> tuple:
+    plo, phi = np.power(lo, p), np.power(hi, p)
+    rlo, rhi = np.minimum(plo, phi), np.maximum(plo, phi)
+    if not p.is_integer():  # real and monotone only on positive bases
+        pos = lo > 0.0
+        return np.where(pos, rlo, np.nan), np.where(pos, rhi, np.nan)
+    if p < 0.0:  # monotone on either side of its pole at 0
+        holds0 = (lo <= 0.0) & (hi >= 0.0)
+        return np.where(holds0, np.nan, rlo), np.where(holds0, np.nan, rhi)
+    if p % 2.0 == 0.0:
+        return _even(lo, hi, plo, phi, 0.0)
+    return rlo, rhi  # odd: increasing
+
+
+def _enclose(node: Ast, lo, hi) -> tuple:
+    # a NaN in either end of an operand makes at least one end of the
+    # result NaN; ``enclose`` then blanks the whole row
+    if isinstance(node, Const):
+        return node.value, node.value
+    if isinstance(node, Var):
+        return lo, hi
+    if isinstance(node, Unary):
+        a, b = _enclose(node.arg, lo, hi)
+        op = node.op
+        if op == "neg":
+            return -b, -a
+        if op == "abs":
+            return _even(a, b, np.abs(a), np.abs(b), 0.0)
+        if op == "cosh":
+            return _out(*_even(a, b, np.cosh(a), np.cosh(b), 1.0))
+        if op in ("sin", "cos"):
+            return _out(*_sin_cos(op, a, b))
+        if op in ("log", "sqrt"):
+            a = np.where(a > 0.0, a, np.nan)
+        # exp sinh tanh log sqrt: increasing
+        fn = getattr(np, op)
+        return _out(fn(a), fn(b))
+    a, b = _enclose(node.lhs, lo, hi)
+    op = node.op
+    if op == "pow":
+        if not isinstance(node.rhs, Const):
+            return math.nan, math.nan
+        return _out(*_pow_const(a, b, float(node.rhs.value)))
+    c, d = _enclose(node.rhs, lo, hi)
+    if op == "add":
+        return _out(a + c, b + d)
+    if op == "sub":
+        return _out(a - d, b - c)
+    if op == "div":
+        holds0 = (c <= 0.0) & (d >= 0.0)
+        c, d = np.where(holds0, np.nan, c), np.where(holds0, np.nan, d)
+        ends = (a / c, a / d, b / c, b / d)
+    else:  # mul
+        ends = (a * c, a * d, b * c, b * d)
+    return _out(np.minimum(np.minimum(ends[0], ends[1]), np.minimum(ends[2], ends[3])),
+                np.maximum(np.maximum(ends[0], ends[1]), np.maximum(ends[2], ends[3])))
 
 
 # -- differentiation ----------------------------------------------------------
@@ -632,6 +757,14 @@ class Component:
         """(value, d1, d2, d3) arrays; NaN outside the domain."""
         return tuple(self._masked_cols(xs, (0, 1, 2, 3)))
 
+    def _d1_enclosure(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Enclosure of f' over each [lo_i, hi_i], as ``enclose`` gives it.
+
+        NaN rows are not enclosed; here that is every row.
+        """
+        nan = np.full(np.shape(lo), np.nan)
+        return nan, nan.copy()
+
     def _row(self, x: float, orders: tuple[int, ...]) -> list[float]:
         self._check(x)
         return [_one(col, x) for col in self._masked_cols(np.array([float(x)]), orders)]
@@ -680,3 +813,6 @@ class Func1D(Component):
 
     def _cols(self, xs: np.ndarray, orders: tuple[int, ...]) -> list[np.ndarray]:
         return [eval_array(self._trees[k], xs) for k in orders]
+
+    def _d1_enclosure(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return enclose(self._trees[1], lo, hi)

@@ -7,17 +7,25 @@ the critical points of h (bisected on h') where h' changes sign between
 them.  Each monotone run of node values brackets a target at most once,
 and one binary search per run finds that bracket for all columns at once;
 an evenly spaced interval that a critical point split is also searched
-whole, so every root a scan of the 257 nodes finds is kept.  Every bracket
-is then bisected to 1e-13 together and takes one Newton polish, and one
-sort groups the roots by column and drops duplicates.  Time is
-O(runs * columns * log nodes + roots), memory O(columns + roots).  The
-same engine backs the one-column ``solve_axis`` and the batched samplers,
-so both produce bit-identical roots.  Meshes come from the standard 256-case
-marching-cubes tables (Lorensen & Cline 1987), applied to all cells at once
-through global grid-edge ids, with vertices re-projected onto the zero set
-along their grid edge in one batched pass.  Everything is deterministic
-given the grid spec (seed included); columns and cells are processed in a
-fixed order.
+whole, so every root a scan of the 257 nodes finds is kept.  An interval
+enclosure of h' over each node interval (``expr.enclose``) that excludes 0
+proves h strictly monotone there, so a bracket in such a certified interval
+holds exactly one root: all of those take a bracketed Newton together,
+which converges in a few steps.  Every other bracket (a tabulated h, an
+enclosure holding 0 or NaN, a split interval searched whole) is bisected
+to 1e-13 and takes one Newton polish.  Both end one Newton step from a
+point within an ulp or two of the root, so they agree to about an ulp
+where the root is well conditioned.  One sort then groups the roots by
+column and drops duplicates.  Time is O(runs * columns * log nodes +
+roots), memory O(columns + roots).  The same engine backs the one-column
+``solve_axis`` and the batched samplers, so both produce bit-identical
+roots.
+
+Meshes come from the standard 256-case marching-cubes tables (Lorensen &
+Cline 1987), applied to all cells at once through global grid-edge ids,
+with vertices re-projected onto the zero set along their grid edge in one
+batched pass.  Everything is deterministic given the grid spec (seed
+included); columns and cells are processed in a fixed order.
 """
 
 from __future__ import annotations
@@ -140,6 +148,70 @@ def _bisect(fn, target: np.ndarray, a: np.ndarray, b: np.ndarray,
     return a, b
 
 
+def _bisect_polished(func, target: np.ndarray, a: np.ndarray, b: np.ndarray,
+                     fa: np.ndarray) -> np.ndarray:
+    """Roots of func(t) = target in [a, b]: _bisect, then one Newton polish
+    from the midpoint, kept where it stays within one bracket width."""
+    a, b = _bisect(func.value_array, target, a, b, fa)
+    root = 0.5 * (a + b)
+    fr = func.value_array(root) - target
+    with np.errstate(all="ignore"):
+        stepped = root - fr / func.d1_array(root)
+    ok = np.isfinite(stepped) & (stepped > a - (b - a)) & (stepped < b + (b - a))
+    return np.where(ok, stepped, root)
+
+
+def _newton(func, target: np.ndarray, a: np.ndarray, b: np.ndarray,
+            fa: np.ndarray) -> np.ndarray:
+    """Roots of func(t) = target by bracketed Newton, for brackets [a, b]
+    that each hold exactly one root.
+
+    This is ``rtsafe`` (Press et al., *Numerical Recipes*, 3rd ed., 9.4) on
+    all rows at once.  ``fa`` is func(a) - target per row; each row starts
+    at its midpoint.  Every step first moves the bracket end on the point's
+    side up to the point (a non-finite value keeps the left half, as in
+    _bisect).  A row converges where its value is 0 or its Newton step is
+    at most one ulp of the point, and then returns that step's end.  This
+    is tested before the step is checked against the bracket: at the root
+    the point has just become a bracket end, so the step cannot land
+    strictly inside.  (Stopping at two ulps instead ends on the far
+    neighbour of the root more often than the bisection does.)  Otherwise
+    the Newton step is taken where it is finite, lands strictly inside the
+    bracket and is at most half the step before last; else the row bisects,
+    and stops once bisection no longer moves it.  Converged rows retire;
+    after _BISECT_ITERS steps the rest keep their last point.  Each row's
+    result depends on that row alone.
+    """
+    out = np.empty(target.size)
+    rows = np.arange(target.size)
+    x, dx = 0.5 * (a + b), b - a
+    dx_old = dx
+    for _ in range(_BISECT_ITERS):
+        if not rows.size:
+            break
+        f = func.value_array(x) - target
+        d = func.d1_array(x)
+        right = f * fa > 0.0  # x on a's side: the root is in (x, b)
+        a, fa, b = np.where(right, x, a), np.where(right, f, fa), np.where(right, b, x)
+        with np.errstate(all="ignore"):
+            step = f / d
+        xn = x - step
+        newton = (np.isfinite(xn) & (xn > a) & (xn < b)
+                  & (np.abs(2.0 * f) <= np.abs(dx_old * d)))
+        nxt = np.where(newton, xn, 0.5 * (a + b))
+        converged = (f == 0.0) | (np.abs(step) <= np.spacing(np.abs(x)))
+        done = converged | (nxt == x)
+        dx_old, dx = dx, np.where(newton, step, 0.5 * (b - a))
+        if done.any():
+            out[rows[done]] = np.where(converged, np.where(f == 0.0, x, xn), nxt)[done]
+            keep = ~done
+            rows, nxt, a, b, fa, target, dx, dx_old = (
+                v[keep] for v in (rows, nxt, a, b, fa, target, dx, dx_old))
+        x = nxt
+    out[rows] = x
+    return out
+
+
 def _critical_points(func, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Critical points of func between neighbouring nodes, as (k, point).
 
@@ -173,10 +245,14 @@ def _solve_targets(func, targets: np.ndarray,
     interval that a critical point split is searched whole as well: its
     bracket, bisected as before, gives the root a scan of the evenly spaced
     nodes alone finds, which the halves may miss when the interval holds
-    three roots.  Every bracket of every target is then bisected together a
-    fixed 60 times (window/2^60 < 1e-13 for any window used here) and takes
-    one Newton polish; roots within 1e-11 (relative) of the previous one in
-    their column are dropped.
+    three roots.  A bracket in a node interval where the enclosure of
+    func' excludes 0 holds exactly one root and goes to _newton.  Every
+    other bracket (that whole split interval included, which is never
+    certified) is bisected a fixed 60 times (window/2^60 < 1e-13 for any
+    window used here) and takes one Newton polish, as _bisect_polished.  On
+    a certified bracket both find the same root, to about an ulp, and
+    Newton takes a few steps instead of about 48.  Roots within 1e-11
+    (relative) of the previous one in their column are dropped.
     """
     targets = np.asarray(targets, dtype=float)
     lo, hi = _axis_window(func, window)
@@ -188,6 +264,10 @@ def _solve_targets(func, targets: np.ndarray,
     split, crit = _critical_points(func, grid)
     nodes = np.insert(grid, split + 1, crit)
     vals = np.insert(grid_vals, split + 1, func.value_array(crit))
+    # an enclosure of func' that excludes 0 proves func strictly monotone on
+    # the interval, so a bracket there holds exactly one root
+    d1_lo, d1_hi = func._d1_enclosure(nodes[:-1], nodes[1:])
+    certified = (d1_lo > 0.0) | (d1_hi < 0.0)
 
     # monotone runs: maximal stretches of finite node pairs stepping the same
     # strict direction (equal neighbours bracket nothing and join no run)
@@ -195,14 +275,16 @@ def _solve_targets(func, targets: np.ndarray,
     with np.errstate(invalid="ignore"):
         step = np.where(finite[:-1] & finite[1:], np.sign(np.diff(vals)), 0.0)
     edges = np.flatnonzero(np.diff(step, prepend=0.0, append=0.0))
-    runs = [(nodes[i0:i1 + 1], vals[i0:i1 + 1])
+    runs = [(nodes[i0:i1 + 1], vals[i0:i1 + 1], certified[i0:i1])
             for i0, i1 in zip(edges[:-1].tolist(), edges[1:].tolist()) if step[i0] != 0.0]
-    # a grid interval split by a critical point is also searched whole
-    runs += [(grid[k:k + 2], grid_vals[k:k + 2]) for k in split.tolist()]
+    # a grid interval split by a critical point is also searched whole, and
+    # is never certified
+    runs += [(grid[k:k + 2], grid_vals[k:k + 2], np.zeros(1, dtype=bool))
+             for k in split.tolist()]
 
     # brackets: per run, the one interval where f - target may change sign
-    parts = [(np.empty(0, dtype=np.intp),) + (np.empty(0),) * 3]
-    for xs, vs in runs:
+    parts = [(np.empty(0, dtype=np.intp),) + (np.empty(0),) * 3 + (np.empty(0, dtype=bool),)]
+    for xs, vs, cs in runs:
         if vs[1] > vs[0]:
             k = np.searchsorted(vs, targets)
         else:
@@ -211,8 +293,8 @@ def _solve_targets(func, targets: np.ndarray,
         ra, rb = vs[k] - targets, vs[k + 1] - targets
         t = np.flatnonzero((ra * rb < 0.0) & np.isfinite(ra) & np.isfinite(rb))
         k = k[t]
-        parts.append((t, xs[k], xs[k + 1], vs[k]))
-    t_idx, a, b, va = (np.concatenate(p) for p in zip(*parts))
+        parts.append((t, xs[k], xs[k + 1], vs[k], cs[k]))
+    t_idx, a, b, va, cert = (np.concatenate(p) for p in zip(*parts))
 
     # exact hits: the finite values of nodes[:-1] equal to a target
     ids = np.flatnonzero(finite[:-1])
@@ -225,15 +307,11 @@ def _solve_targets(func, targets: np.ndarray,
     hit_s = ids[np.repeat(first, count) + offset]
 
     tgt = targets[t_idx]
-    a, b = _bisect(func.value_array, tgt, a, b, va - tgt)
-    root = 0.5 * (a + b)
-
-    # one derivative polish step
-    fr = func.value_array(root) - tgt
-    with np.errstate(all="ignore"):
-        stepped = root - fr / func.d1_array(root)
-    ok = np.isfinite(stepped) & (stepped > a - (b - a)) & (stepped < b + (b - a))
-    root = np.where(ok, stepped, root)
+    fa = va - tgt
+    root = np.empty(t_idx.size)
+    for rows, solve in ((np.flatnonzero(cert), _newton),
+                        (np.flatnonzero(~cert), _bisect_polished)):
+        root[rows] = solve(func, tgt[rows], a[rows], b[rows], fa[rows])
 
     # group by column, ascending; drop duplicates within scan resolution
     col = np.concatenate([t_idx, hit_t])

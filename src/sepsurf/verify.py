@@ -24,8 +24,10 @@ from . import families as fam
 from .expr import Func1D
 from .geometry import (
     SeparableSurface,
+    _curvature_cols,
     _curvature_implicit,
     _implicit_jet_cols,
+    _level_state_cols,
     _rotate_jet,
     _shift_level_cols,
     curvature_batch,
@@ -181,7 +183,11 @@ def _regular_curvatures(surface: SeparableSurface, points: np.ndarray) -> np.nda
 def check_constant_K(surface: SeparableSurface, points: np.ndarray,
                      tol: float = 1e-8) -> ConstancyReport:
     """Measure K over the sample and judge constancy at the given tolerance."""
-    K = _regular_curvatures(surface, points)
+    return _constancy(_regular_curvatures(surface, points), tol)
+
+
+def _constancy(K: np.ndarray, tol: float) -> ConstancyReport:
+    """check_constant_K on the finite curvatures of the sample."""
     if K.size < 32:
         raise TooFewPointsError(f"need >= 32 regular points, got {K.size}")
     mean = float(np.mean(K))
@@ -194,7 +200,11 @@ def check_constant_K(surface: SeparableSurface, points: np.ndarray,
 def estimate_structure(surface: SeparableSurface, points: np.ndarray,
                        tols: Tolerances = DEFAULT_TOLERANCES) -> StructureEvidence:
     """Degeneracy magnitudes of the squared-slope functions over the sample."""
-    st = level_state_batch(surface, np.asarray(points, dtype=float))
+    return _structure(level_state_batch(surface, np.asarray(points, dtype=float)))
+
+
+def _structure(st: dict) -> StructureEvidence:
+    """estimate_structure on the sample's level-state columns."""
     core = np.column_stack([st[k] for k in ("X", "Y", "Z", "dX", "dY", "dZ")])
     good = np.all(np.isfinite(core), axis=1)
     if int(np.count_nonzero(good)) < 32:
@@ -246,11 +256,14 @@ def classify(surface: SeparableSurface, points: np.ndarray,
     sentinel label.
     """
     ctol = tols.constancy_tabulated if _has_tabulated(surface) else tols.constancy
-    report = check_constant_K(surface, points, tol=ctol)
+    # one jet evaluation feeds both the curvature and the level state
+    jets = surface.jet_arrays(np.asarray(points, dtype=float))
+    K = _curvature_cols(*jets)
+    report = _constancy(K[np.isfinite(K)], ctol)
     if not report.is_constant:
         return ClassificationResult("not-constant-curvature", {}, None, report)
 
-    ev = estimate_structure(surface, points, tols)
+    ev = _structure(_level_state_cols(*jets))
     s = tols.structure
     zero_flags = [m <= s * ev.scale for m in (ev.X_zero, ev.Y_zero, ev.Z_zero)]
     const_flags = [m <= s * ev.scale_rate for m in (ev.X_const, ev.Y_const, ev.Z_const)]
@@ -573,10 +586,8 @@ def _suite_geometry(report: TheoremCheckReport, seed: int, entries, samples) -> 
     # squared-slope identity residual at measured K
     worst, count = 0.0, 0
     for e in entries:
-        pts = samples[e.name]
-        st = level_state_batch(e.surface, pts)
-        Ks = curvature_batch(e.surface, pts)
-        r = k2_residual_batch(st, Ks)
+        jets = e.surface.jet_arrays(samples[e.name])
+        r = k2_residual_batch(_level_state_cols(*jets), _curvature_cols(*jets))
         good = np.isfinite(r)
         worst = max(worst, float(np.max(np.abs(r[good]))))
         count += int(np.count_nonzero(good))

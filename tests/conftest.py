@@ -10,10 +10,15 @@ two agree bit for bit.
 
 ``solve_many_loop`` is the column root engine as a per-target loop: a dense
 sign-change scan of the 257 evenly spaced nodes for every target, then the
-same bisection and Newton polish as ``sampler._solve_targets``; the roots of
-each column are picked out, sorted and de-duplicated one column at a time,
-and the points are built one by one.  Wherever the engine inserts no
-critical point into a bracketing interval, the two agree bit for bit.
+same root method per bracket as ``sampler._solve_targets``.  A bracket in
+a node interval where the enclosure of h' excludes 0 goes to the engine's
+bracketed Newton kernel; every other bracket takes a plain loop of the
+same bisection and Newton polish.  The roots of each column are picked
+out, sorted and de-duplicated one column at a time, and the points are
+built one by one.  Wherever the engine inserts no critical point into a
+bracketing interval, the two agree bit for bit.  With ``certify=False``
+every bracket is bisected: that is the accuracy reference for the Newton
+kernel.
 
 ``marching_cubes_loop`` is marching cubes as a per-cell loop: each active
 cell's table row is walked slot by slot and a dict keyed by (grid corner,
@@ -210,7 +215,7 @@ def draw_fd_case(rng: np.random.Generator, depth: int = 4):
         return f, x, jet, a
 
 
-def solve_targets_loop(func, targets, window):
+def solve_targets_loop(func, targets, window, certify=True):
     """Roots of func(t) = target_j in the window, one ascending array per target."""
     targets = np.asarray(targets, dtype=float)
     lo, hi = sampler._axis_window(func, window)
@@ -225,10 +230,18 @@ def solve_targets_loop(func, targets, window):
     exact_hit = (resid[:, :-1] == 0.0) & finite[:, :-1]
     t_idx, s_idx = np.nonzero(sign_change)
 
-    a = nodes[s_idx].copy()
-    b = nodes[s_idx + 1].copy()
-    fa = resid[t_idx, s_idx].copy()
-    tgt = targets[t_idx]
+    d1_lo, d1_hi = func._d1_enclosure(nodes[:-1], nodes[1:])
+    newton = ((d1_lo > 0.0) | (d1_hi < 0.0))[s_idx] & certify
+    root = np.empty(t_idx.size)
+    n_idx = np.flatnonzero(newton)
+    root[n_idx] = sampler._newton(func, targets[t_idx[n_idx]], nodes[s_idx[n_idx]],
+                                  nodes[s_idx[n_idx] + 1], resid[t_idx[n_idx], s_idx[n_idx]])
+
+    t_b, s_b = t_idx[~newton], s_idx[~newton]
+    a = nodes[s_b].copy()
+    b = nodes[s_b + 1].copy()
+    fa = resid[t_b, s_b].copy()
+    tgt = targets[t_b]
     for _ in range(sampler._BISECT_ITERS):
         mid = 0.5 * (a + b)
         fm = func.value_array(mid) - tgt
@@ -236,13 +249,13 @@ def solve_targets_loop(func, targets, window):
         a = np.where(left, mid, a)
         fa = np.where(left, fm, fa)
         b = np.where(left, b, mid)
-    root = 0.5 * (a + b)
-    _, d1, _, _ = func.jet3_array(root)
-    fr = func.value_array(root) - tgt
+    mid = 0.5 * (a + b)
+    _, d1, _, _ = func.jet3_array(mid)
+    fr = func.value_array(mid) - tgt
     with np.errstate(all="ignore"):
-        stepped = root - fr / d1
+        stepped = mid - fr / d1
     ok = np.isfinite(stepped) & (stepped > a - (b - a)) & (stepped < b + (b - a))
-    root = np.where(ok, stepped, root)
+    root[~newton] = np.where(ok, stepped, mid)
 
     out = []
     for j in range(targets.size):
@@ -254,7 +267,7 @@ def solve_targets_loop(func, targets, window):
     return out
 
 
-def solve_many_loop(surface, c1, c2, window=None, axis=2):
+def solve_many_loop(surface, c1, c2, window=None, axis=2, certify=True):
     """(N, 3) points column by column, ascending roots within a column."""
     comps = surface.components
     others = [i for i in range(3) if i != axis]
@@ -262,7 +275,7 @@ def solve_many_loop(surface, c1, c2, window=None, axis=2):
     v2 = comps[others[1]].value_array(np.asarray(c2, dtype=float))
     targets = -(v1 + v2)
     good = np.isfinite(targets)
-    per_col = solve_targets_loop(comps[axis], np.where(good, targets, np.inf), window)
+    per_col = solve_targets_loop(comps[axis], np.where(good, targets, np.inf), window, certify)
     pts = []
     for j, roots in enumerate(per_col):
         if not good[j]:

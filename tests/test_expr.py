@@ -20,6 +20,7 @@ from sepsurf.expr import (
     Unary,
     Var,
     differentiate,
+    enclose,
     eval_array,
     evaluate,
     parse_expr,
@@ -205,6 +206,86 @@ def test_eval_array_nan_semantics():
     vals = eval_array(parse_expr("log(x)"), np.array([-1.0, 0.0, 1.0, math.e]))
     assert np.isnan(vals[0]) and np.isnan(vals[1])
     assert vals[2] == 0.0 and abs(vals[3] - 1.0) < 1e-15
+
+
+# -- interval enclosure -------------------------------------------------------------
+
+# every unary op, mul, div and pow by -2, -1, 0.5, 2 and 3, each mapped to the
+# intervals on which the enclosure must be NaN (None: never)
+_ENCLOSE_FORMS = {
+    "-x": None,
+    "sin(x)": None,
+    "cos(x)": None,
+    "sin(3*x-1)": None,
+    "sinh(x)": None,
+    "cosh(x)": None,
+    "tanh(x)": None,
+    "exp(x)": None,
+    "log(x)": lambda lo, hi: lo <= 0.0,
+    "sqrt(x)": lambda lo, hi: lo <= 0.0,
+    "abs(x)": None,
+    "(x-0.5)*(x+1.5)": None,
+    "(x-0.5)*exp(x)": None,
+    "sin(x)/(x-0.25)": lambda lo, hi: lo <= 0.25 <= hi,
+    "1/x": lambda lo, hi: lo <= 0.0 <= hi,
+    "x^(-2)": lambda lo, hi: lo <= 0.0 <= hi,
+    "x^(-1)": lambda lo, hi: lo <= 0.0 <= hi,
+    "x^0.5": lambda lo, hi: lo <= 0.0,
+    "x^2": None,
+    "x^3": None,
+}
+
+
+@pytest.mark.parametrize("form", sorted(_ENCLOSE_FORMS))
+@settings(max_examples=40, deadline=None)
+@given(lo=st.floats(-8.0, 8.0), width=st.floats(0.0, 8.0))
+def test_enclosure_holds_every_value_or_is_nan(form, lo, width):
+    tree, hi = parse_expr(form), lo + width
+    elo, ehi = enclose(tree, np.array([lo]), np.array([hi]))
+    vals = eval_array(tree, np.linspace(lo, hi, 257))
+    nan_rule = _ENCLOSE_FORMS[form]
+    assert np.isnan(elo[0]) == np.isnan(ehi[0])
+    if nan_rule is not None and nan_rule(lo, hi):
+        assert np.isnan(elo[0])
+    elif np.all(np.isfinite(vals)):  # otherwise a value overflowed
+        assert not np.isnan(elo[0])
+    if not np.isnan(elo[0]):
+        vals = vals[np.isfinite(vals)]
+        assert np.all((elo[0] <= vals) & (vals <= ehi[0]))
+
+
+@pytest.mark.parametrize("form, lo, hi", [
+    ("log(x)", 0.0, 1.0), ("log(x)", -1.0, 2.0), ("sqrt(x)", -0.5, 0.5),
+    ("sqrt(x)", 0.0, 3.0), ("1/x", -1.0, 1.0), ("1/(x-1)", 0.0, 1.0),
+    ("x^(-2)", -1.0, 0.0), ("x^(-1)", 0.0, 2.0), ("x^0.5", 0.0, 1.0),
+    ("x^1.5", -1.0, 1.0), ("2^x", 1.0, 2.0), ("exp(log(x))", -1.0, 1.0),
+])
+def test_enclosure_is_nan_where_it_cannot_bound(form, lo, hi):
+    elo, ehi = enclose(parse_expr(form), np.array([lo]), np.array([hi]))
+    assert np.isnan(elo[0]) and np.isnan(ehi[0])
+
+
+def test_enclosure_widens_outward_and_brackets_extrema():
+    lo, hi = np.array([0.5, -1.0, 1.0, 0.0]), np.array([2.0, 1.0, 2.0, 7.0])
+    elo, ehi = enclose(parse_expr("exp(x)"), lo, hi)
+    assert np.all(elo < np.exp(lo)) and np.all(ehi > np.exp(hi))
+    elo, ehi = enclose(parse_expr("sin(x)"), lo, hi)
+    assert ehi[2] >= 1.0 and elo[2] > 0.8  # pi/2 inside, no trough
+    assert elo[3] <= -1.0 and ehi[3] >= 1.0  # a full period
+    elo, ehi = enclose(parse_expr("x^2"), lo, hi)
+    assert -1e-300 < elo[1] <= 0.0 and ehi[1] > 1.0  # even power over 0
+    # negative integer powers of a negative interval stay bounded
+    elo, ehi = enclose(parse_expr("x^(-2)"), np.array([-2.0]), np.array([-1.0]))
+    assert 0.0 < elo[0] < 0.25 and 1.0 < ehi[0] < 1.0 + 1e-14
+
+
+def test_enclosure_of_constant_trees_broadcasts():
+    lo, hi = np.linspace(0.0, 1.0, 5), np.linspace(0.5, 1.5, 5)
+    elo, ehi = enclose(Const(2.0), lo, hi)
+    assert elo.shape == ehi.shape == (5,) and np.all(elo == 2.0) and np.all(ehi == 2.0)
+    # a linear component has a constant derivative tree
+    elo, ehi = Func1D.parse("3*z+1", "z")._d1_enclosure(lo, hi)
+    assert elo.shape == (5,) and np.all(elo == 3.0) and np.all(ehi == 3.0)
 
 
 # -- differentiation --------------------------------------------------------------

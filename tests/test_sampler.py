@@ -1,3 +1,5 @@
+import functools
+import hashlib
 import json
 import math
 
@@ -195,9 +197,12 @@ def test_root_engine_empty_window_and_zero_columns():
         assert pts.shape == (0, 3)
 
 
-@pytest.mark.parametrize("case", ["paper-fig1-left", "paper-fig1-middle",
-                                  "paper-fig1-right", "sphere", "right-cylinder"])
-def test_sample_points_matches_loop(case, monkeypatch):
+_SAMPLE_CASES = ["paper-fig1-left", "paper-fig1-middle", "paper-fig1-right", "sphere",
+                 "right-cylinder"]
+
+
+def _sample_case(case):
+    """(surface, 70^2-column grid) for the sampling comparisons."""
     if case == "sphere":
         surf, box = sphere(), (-1.1, 1.1, -1.1, 1.1, -1.1, 1.1)
     elif case == "right-cylinder":
@@ -208,11 +213,63 @@ def test_sample_points_matches_loop(case, monkeypatch):
         box = (-1.2, 1.2, -1.6, 1.6, -1.0, 1.0)
     else:
         surf, box = preset_surface(case), preset_box(case)
-    grid = GridSpec(box=tuple(box), nx=70, ny=70, nz=70, seed=11)
+    return surf, GridSpec(box=tuple(box), nx=70, ny=70, nz=70, seed=11)
+
+
+@pytest.mark.parametrize("case", _SAMPLE_CASES)
+def test_sample_points_matches_loop(case, monkeypatch):
+    surf, grid = _sample_case(case)
     got = sample_points(surf, grid)
     monkeypatch.setattr(sampler, "solve_many", solve_many_loop)
     assert _same_bits(got, sample_points(surf, grid))
     assert len(got) > 1000
+
+
+@pytest.mark.parametrize("case", _SAMPLE_CASES)
+def test_newton_roots_agree_with_bisection(case, monkeypatch):
+    # certified brackets take Newton; against the loop that bisects every
+    # bracket, each column keeps its roots, each root moves by about an ulp
+    # and the worst residual does not grow
+    surf, grid = _sample_case(case)
+    got = sample_points(surf, grid)
+    monkeypatch.setattr(sampler, "solve_many", functools.partial(solve_many_loop, certify=False))
+    ref = sample_points(surf, grid)
+    axis = surf.preferred_axis
+    o1, o2 = (i for i in range(3) if i != axis)
+    assert got.shape == ref.shape and _same_bits(got[:, [o1, o2]], ref[:, [o1, o2]])
+    comps = surf.components
+    h = comps[axis]
+    target = -(comps[o1].value_array(ref[:, o1]) + comps[o2].value_array(ref[:, o2]))
+    r, r0 = got[:, axis], ref[:, axis]
+    assert not np.array_equal(r, r0)  # the Newton path ran
+    # near a critical point an ulp of h moves the root by ulp / |h'|, for
+    # both methods (the sphere's roots at |z| ~ 0.013 move by 3.8e-15)
+    cond = 2.0 * np.finfo(float).eps * (1.0 + np.abs(target)) / np.abs(h.d1_array(r0))
+    assert np.all(np.abs(r - r0) <= 2e-15 * (1.0 + np.abs(r0)) + cond)
+    assert np.max(np.abs(h.value_array(r) - target)) <= np.max(np.abs(h.value_array(r0) - target))
+
+
+def test_deep_expression_bisects_every_uncertified_interval(monkeypatch):
+    # brackets are whole node intervals: Newton gets exactly those where the
+    # enclosure of h' excludes 0, bisection every interval where it holds 0
+    # or is NaN (those around the pole and the oscillation near z = 0)
+    func = Func1D.parse("sin(cos(exp(0.9*z)*z)/z)", "z")
+    seen = {}
+
+    def spy(name, solve):
+        def run(func, target, a, b, fa):
+            seen[name] = (a, b)
+            return solve(func, target, a, b, fa)
+        return run
+
+    monkeypatch.setattr(sampler, "_newton", spy("newton", sampler._newton))
+    monkeypatch.setattr(sampler, "_bisect_polished", spy("bisect", sampler._bisect_polished))
+    targets = np.random.default_rng(5).uniform(-1.0, 1.0, 300)
+    sampler._solve_targets(func, targets, (-1.5, 1.5))
+    for name, certified in (("newton", True), ("bisect", False)):
+        lo, hi = func._d1_enclosure(*seen[name])
+        assert lo.size > 100
+        assert np.all(((lo > 0.0) | (hi < 0.0)) == certified)
 
 
 # -- sampling ----------------------------------------------------------------------
@@ -394,6 +451,10 @@ def test_triangle_table_rows_cut_their_case():
             a, b = CORNER_PAIRS[e]
             assert inside[a] != inside[b], (c, e)
     assert np.all(TRI_TABLE[[0, 255]] == -1) and np.all(TRI_TABLE[1:255, 0] >= 0)
+    # the standard table itself, pinned: 2460 used slots
+    assert np.count_nonzero(TRI_TABLE >= 0) == 2460
+    assert hashlib.sha256(TRI_TABLE.astype("<i8").tobytes()).hexdigest() == (
+        "82ede6f8851e2effa39ae5f7fc5997f7d8e40adb5710b50dc9090fd04c026c94")
 
 
 # -- exporters ----------------------------------------------------------------------
