@@ -1,6 +1,6 @@
 """One-variable closed-form expressions with exact derivatives.
 
-Expressions are immutable trees over a small grammar (see ``parse_expr``)
+Expressions are immutable nodes over a small grammar (see ``parse_expr``)
 and are differentiated symbolically.  Finite differences are never used
 here; they exist only as an independent oracle in the test suite.  Third
 derivatives stay exact, which is what the curvature branch constants
@@ -19,12 +19,22 @@ exp, log, sqrt, abs.  Numbers are decimal literals with an optional
 exponent; one that overflows to infinity is a ParseError.  Parentheses,
 calls, unary minus and ``^`` chains nest at most ``MAX_NESTING`` deep
 together, and an expression has at most ``MAX_TOKENS`` tokens; deeper or
-longer input is a ParseError.  So is a derivative tree of more than
-``MAX_DERIV_NODES`` nodes: products and quotient chains grow theirs about
-as n^4 over three orders.
+longer input is a ParseError.
 
-Evaluation has one implementation, the array evaluator ``eval_array``.
-It keeps every constant a scalar of the input's dtype, never an array, so
+Nodes are interned.  One build (a parse, ``simplify``, ``differentiate``
+or a ``Func1D``) simplifies each node as it makes it and keeps one node per
+operator and operands, so equal subtrees are one object.  Each node is
+differentiated once, from its operands' derivatives, so a chain of n
+products or quotients needs about linearly many nodes over three orders.
+``MAX_DERIV_NODES`` bounds the distinct nodes of one build; more is a
+ParseError.  Written out as a tree, the third derivative of such a chain
+has about 4e8 nodes: ``print_expr`` refuses more than ``MAX_DERIV_NODES``,
+and the nodes' own ``repr``, ``==`` and ``hash`` recurse over that tree,
+so they are not meant for such derivatives.
+
+Evaluation has one implementation: a walk over the expression's nodes,
+children first, each computed once and dropped after its last use.  It
+keeps every constant a scalar of the input's dtype, never an array, so
 longdouble input stays longdouble and numpy's ``power`` takes its
 scalar-exponent paths: ``^-1``, ``^0.5`` and ``^2`` are the correctly
 rounded ``1/x``, ``sqrt(x)`` and ``x*x``.  Other exponents go through
@@ -34,12 +44,13 @@ calls (``evaluate``, and ``value``, ``jet3`` and ``deriv_value`` of every
 ``Component``) are one-row views of the array calls that raise
 EvalDomainError where the row comes back NaN.
 
-``enclose`` bounds a tree over arrays of intervals: the natural interval
-extension, widened outward by a few ulps, so each row holds every value the
-tree takes on its interval.  NaN marks a row it cannot bound (a pole or a
-domain edge inside the interval, a non-constant exponent).  The root engine
-uses the enclosure of f' to prove an interval monotone; a NaN row proves
-nothing, and a ``Component`` that is not a closed form encloses nothing.
+``enclose`` bounds an expression over arrays of intervals by the same walk:
+the natural interval extension, widened outward by a few ulps, so each row
+holds every value the expression takes on its interval.  NaN marks a row
+it cannot bound (a pole or a domain edge inside the interval, a
+non-constant exponent).  The root engine uses the enclosure of f' to prove
+an interval monotone; a NaN row proves nothing, and a ``Component`` that is
+not a closed form encloses nothing.
 """
 
 from __future__ import annotations
@@ -158,8 +169,9 @@ MAX_NESTING = 32
 # bounds the length of flat operator chains, which build left-leaning trees
 # as deep as the chain is long
 MAX_TOKENS = 256
-# bounds each derivative tree as differentiation builds it, before it is
-# simplified; evaluation time grows with tree size
+# bounds the distinct nodes of one build, counted as differentiation makes
+# them: a value and three derivatives share one table, and evaluation time
+# grows with its size
 MAX_DERIV_NODES = 50_000
 
 
@@ -168,6 +180,7 @@ class _Parser:
         self.src = src
         self.var = var_name
         self.tokens = _tokenize(src)
+        self.dag = _Dag()
         self.i = 0
         self.depth = 0
 
@@ -196,20 +209,20 @@ class _Parser:
         node = self.term()
         while self.peek()[:2] in (("op", "+"), ("op", "-")):
             _, op, _ = self.next()
-            node = Binary("add" if op == "+" else "sub", node, self.term())
+            node = self.dag.binary("add" if op == "+" else "sub", node, self.term())
         return node
 
     def term(self) -> Ast:
         node = self.unary()
         while self.peek()[:2] in (("op", "*"), ("op", "/")):
             _, op, _ = self.next()
-            node = Binary("mul" if op == "*" else "div", node, self.unary())
+            node = self.dag.binary("mul" if op == "*" else "div", node, self.unary())
         return node
 
     def unary(self) -> Ast:
         if self.peek()[:2] == ("op", "-"):
             self.nest(self.next()[2])
-            node = Unary("neg", self.unary())
+            node = self.dag.unary("neg", self.unary())
             self.depth -= 1
             return node
         return self.power()
@@ -218,7 +231,7 @@ class _Parser:
         node = self.atom()
         if self.peek()[:2] == ("op", "^"):
             self.nest(self.next()[2])
-            node = Binary("pow", node, self.unary())
+            node = self.dag.binary("pow", node, self.unary())
             self.depth -= 1
         return node
 
@@ -228,7 +241,7 @@ class _Parser:
             value = float(val)
             if not math.isfinite(value):
                 raise ParseError("number out of range", off)
-            return Const(value)
+            return self.dag.const(value)
         if kind == "ident":
             if val in _FUNCTIONS:
                 k2, v2, o2 = self.peek()
@@ -242,9 +255,9 @@ class _Parser:
                     raise ParseError(f"expected ')' closing {val!r}", o3)
                 self.next()
                 self.depth -= 1
-                return Unary(val, arg)
+                return self.dag.unary(val, arg)
             if val == self.var:
-                return Var(self.var)
+                return self.dag.var(self.var)
             raise ParseError(f"unknown identifier {val!r}", off)
         if (kind, val) == ("op", "("):
             self.nest(off)
@@ -256,7 +269,7 @@ class _Parser:
 
 
 def parse_expr(src: str, var_name: str = "x") -> Ast:
-    """Parse ``src`` into an Ast; folds constant subtrees.
+    """Parse ``src`` into an Ast, simplified as ``simplify`` leaves it.
 
     Raises ParseError (with byte offset) on malformed input or unknown
     identifiers.
@@ -266,10 +279,274 @@ def parse_expr(src: str, var_name: str = "x") -> Ast:
     kind, val, off = p.peek()
     if kind != "end":
         raise ParseError(f"unexpected trailing {val!r}", off)
-    return simplify(node)
+    return node
+
+
+# -- the expression DAG -------------------------------------------------------
+
+
+class _Dag:
+    """The table of one build: constructors that simplify, then intern.
+
+    Each constructor applies the simplification rules first: constant
+    folding, 0/1 identities, double negation and -1*u -> -u.  That is enough
+    to keep three rounds of differentiation small without turning into a
+    CAS, and folds preserve the value wherever the unfolded expression
+    evaluates.  Then it returns the table's one node for (op, operands), so
+    equal subtrees are one object.  Operands enter keys by id(): each is a
+    node of the table, which keeps it alive.
+    """
+
+    def __init__(self):
+        self._table: dict = {}
+        self._deriv: dict[int, Ast] = {}  # id(node) -> its derivative
+
+    def _intern(self, key, kind: type, *fields) -> Ast:
+        node = self._table.get(key)
+        if node is None:
+            node = self._table[key] = kind(*fields)
+        return node
+
+    def const(self, value: float) -> Ast:
+        # the hex form keeps -0.0 apart from 0.0
+        return self._intern(float(value).hex(), Const, value)
+
+    def var(self, name: str) -> Ast:
+        return self._intern(("var", name), Var, name)
+
+    def unary(self, op: str, a: Ast) -> Ast:
+        if op == "neg":
+            if isinstance(a, Const):
+                return self.const(-a.value)
+            if isinstance(a, Unary) and a.op == "neg":
+                return a.arg
+        if isinstance(a, Const):
+            folded = _try_fold(op, a.value)
+            if folded is not None:
+                return self.const(folded)
+        return self._intern((op, id(a)), Unary, op, a)
+
+    def binary(self, op: str, a: Ast, b: Ast) -> Ast:
+        if isinstance(a, Const) and isinstance(b, Const):
+            folded = _try_fold(op, a.value, b.value)
+            if folded is not None:
+                return self.const(folded)
+        if op == "add":
+            if _is_const(a, 0.0):
+                return b
+            if _is_const(b, 0.0):
+                return a
+        elif op == "sub":
+            if _is_const(b, 0.0):
+                return a
+            if _is_const(a, 0.0):
+                return self.unary("neg", b)
+        elif op == "mul":
+            if _is_const(a, 0.0) or _is_const(b, 0.0):
+                return self.const(0.0)
+            if _is_const(a, 1.0):
+                return b
+            if _is_const(b, 1.0):
+                return a
+            if _is_const(a, -1.0):
+                return self.unary("neg", b)
+            if _is_const(b, -1.0):
+                return self.unary("neg", a)
+        elif op == "div":
+            if _is_const(b, 1.0):
+                return a
+        elif op == "pow":
+            if _is_const(b, 1.0):
+                return a
+            if _is_const(b, 0.0):
+                return self.const(1.0)
+        return self._intern((op, id(a), id(b)), Binary, op, a, b)
+
+    def rebuild(self, root: Ast, var: Optional[str] = None) -> Ast:
+        """``root`` made through the constructors, its variable named ``var``
+        when that is given."""
+        def make(node: Ast, args: list) -> Ast:
+            if isinstance(node, Const):
+                return self.const(node.value)
+            if isinstance(node, Var):
+                return self.var(var or node.name)
+            return (self.unary if isinstance(node, Unary) else self.binary)(node.op, *args)
+
+        return _walk(_plan([root]), make)[0]
+
+    def derive(self, root: Ast) -> Ast:
+        """Derivative of a node of this table.
+
+        Derives every node not derived yet, in creation order, which puts
+        operands first: so each node is derived once, from its operands'
+        derivatives, without recursion.  Raises ParseError once the table
+        holds more than MAX_DERIV_NODES nodes.
+        """
+        for node in list(self._table.values()):
+            if id(node) not in self._deriv:
+                dargs = [self._deriv[id(kid)] for kid in _kids(node)]
+                self._deriv[id(node)] = self._rule(node, *dargs)
+                if len(self._table) > MAX_DERIV_NODES:
+                    raise ParseError(f"derivatives larger than {MAX_DERIV_NODES} nodes", 0)
+        return self._deriv[id(root)]
+
+    def _rule(self, node: Ast, du: Optional[Ast] = None, dv: Optional[Ast] = None) -> Ast:
+        B, U, C = self.binary, self.unary, self.const
+        if isinstance(node, Const):
+            return C(0.0)
+        if isinstance(node, Var):
+            return C(1.0)
+        if isinstance(node, Unary):
+            u, op = node.arg, node.op
+            if op == "neg":
+                return U("neg", du)
+            if op == "sin":
+                return B("mul", U("cos", u), du)
+            if op == "cos":
+                return U("neg", B("mul", U("sin", u), du))
+            if op == "sinh":
+                return B("mul", U("cosh", u), du)
+            if op == "cosh":
+                return B("mul", U("sinh", u), du)
+            if op == "tanh":
+                sech2 = B("sub", C(1.0), B("pow", U("tanh", u), C(2.0)))
+                return B("mul", sech2, du)
+            if op == "exp":
+                return B("mul", U("exp", u), du)
+            if op == "log":
+                return B("div", du, u)
+            if op == "sqrt":
+                return B("div", du, B("mul", C(2.0), U("sqrt", u)))
+            if op == "abs":
+                sign = B("div", u, U("abs", u))
+                return B("mul", sign, du)
+            raise ValueError(f"unknown unary op {op!r}")
+        u, v, op = node.lhs, node.rhs, node.op
+        if op in ("add", "sub"):
+            return B(op, du, dv)
+        if op == "mul":
+            return B("add", B("mul", du, v), B("mul", u, dv))
+        if op == "div":
+            num = B("sub", B("mul", du, v), B("mul", u, dv))
+            return B("div", num, B("pow", v, C(2.0)))
+        # pow
+        if isinstance(v, Const):
+            p = v.value
+            if p == 0.0:
+                return C(0.0)
+            stem = B("mul", C(p), B("pow", u, C(p - 1.0)))
+            return B("mul", stem, du)
+        # general exponent: u^v * (dv*log(u) + v*du/u); real only for u > 0
+        inner = B("add", B("mul", dv, U("log", u)), B("mul", v, B("div", du, u)))
+        return B("mul", B("pow", u, v), inner)
+
+
+def _is_const(node: Ast, value: float) -> bool:
+    return isinstance(node, Const) and node.value == value
+
+
+def _try_fold(op: str, *values: float) -> Optional[float]:
+    """``op`` on constant operands as evaluation computes it; None where the
+    result is not a finite real."""
+    with np.errstate(all="ignore"):
+        v = float(_APPLY[op](*map(np.float64, values)))
+    return v if math.isfinite(v) else None
+
+
+def simplify(node: Ast) -> Ast:
+    """``node`` rebuilt through the simplification rules, equal subtrees shared."""
+    return _Dag().rebuild(node)
+
+
+def differentiate(node: Ast) -> Ast:
+    """Exact derivative of ``simplify(node)``.
+
+    abs differentiates to u/|u| (the sign), so the derivative errors at the
+    kink under evaluation rather than here.  Raises ParseError when the
+    expression and its derivative need more than MAX_DERIV_NODES distinct
+    nodes.
+    """
+    dag = _Dag()
+    return dag.derive(dag.rebuild(node))
+
+
+# -- node lists ---------------------------------------------------------------
+
+
+def _kids(node: Ast) -> tuple:
+    if isinstance(node, Binary):
+        return (node.lhs, node.rhs)
+    if isinstance(node, Unary):
+        return (node.arg,)
+    return ()
+
+
+def _plan(roots: list) -> tuple:
+    """The node list that building, evaluation and enclosure walk.
+
+    One step per node under ``roots``, children first: the node, its
+    operands' positions, and the positions it uses for the last time (the
+    roots' excepted); then the roots' positions.  Made without recursion:
+    the derivatives of long chains nest deeper than Python's recursion limit.
+    """
+    steps: list[tuple] = []
+    at: dict[int, int] = {}  # id(node) -> position, once its step is made
+    stack: list[tuple] = [(root, None) for root in roots]
+    while stack:
+        node, kids = stack.pop()
+        if kids is not None:  # the operands have their steps
+            at[id(node)] = len(steps)
+            steps.append((node, [at[id(kid)] for kid in kids], []))
+        elif id(node) not in at:
+            kids = _kids(node)
+            stack.append((node, kids))
+            stack += [(kid, None) for kid in kids]
+    outs = [at[id(root)] for root in roots]
+    used = set(outs)  # walking back, a position's first use is its last
+    for _, args, drops in reversed(steps):
+        for j in args:
+            if j not in used:
+                used.add(j)
+                drops.append(j)
+    return steps, outs
+
+
+def _walk(plan: tuple, visit) -> list:
+    """``visit(node, operand results)`` along the plan; the roots' results.
+
+    A result is dropped after its last use, so peak memory does not grow
+    with the plan's length.
+    """
+    steps, outs = plan
+    vals: list = []
+    for node, args, drops in steps:
+        vals.append(visit(node, [vals[j] for j in args]))
+        for j in drops:
+            vals[j] = None
+    return [vals[j] for j in outs]
 
 
 # -- evaluation ---------------------------------------------------------------
+
+
+def _real_on_positive(fn):
+    return lambda a: np.where(a > 0.0, fn(np.where(a > 0.0, a, 1.0)), np.nan)
+
+
+def _div(a, b):
+    return np.where(b != 0.0, a / np.where(b != 0.0, b, 1.0), np.nan)
+
+
+# each operator on evaluated operands, arrays or scalars.  pow: numpy keeps
+# the sign for integral exponents on negative bases and yields nan for
+# fractional ones
+_APPLY = {
+    "neg": np.negative, "sin": np.sin, "cos": np.cos, "sinh": np.sinh,
+    "cosh": np.cosh, "tanh": np.tanh, "exp": np.exp, "abs": np.abs,
+    "log": _real_on_positive(np.log), "sqrt": _real_on_positive(np.sqrt),
+    "add": np.add, "sub": np.subtract, "mul": np.multiply, "div": _div,
+    "pow": np.power,
+}
 
 
 def evaluate(node: Ast, x: float) -> float:
@@ -295,50 +572,27 @@ def eval_array(node: Ast, xs: np.ndarray) -> np.ndarray:
     longdouble, which the finite-difference test oracle relies on).  The
     result is a fresh array of the shape of ``xs``.
     """
+    return _evaluate(_plan([node]), xs)[0]
+
+
+def _evaluate(plan: tuple, xs: np.ndarray) -> list[np.ndarray]:
+    """The plan's root columns on ``xs``, as ``eval_array`` describes them."""
     xs = np.asarray(xs)
     if xs.dtype.kind != "f":
         xs = xs.astype(float)
+
+    def visit(node: Ast, args: list):
+        # constants stay scalars; no op writes into its operands, so xs
+        # itself stands for the variable
+        if isinstance(node, Const):
+            return xs.dtype.type(node.value)
+        return xs if isinstance(node, Var) else _APPLY[node.op](*args)
+
     with np.errstate(all="ignore"):
-        out = _eval_vec(node, xs)
-        out = np.where(np.isfinite(out), out, np.nan)
-    if out.shape != xs.shape:  # a constant tree, e.g. an unfolded log(-1)
-        out = np.full(xs.shape, out, dtype=xs.dtype)
-    return out
-
-
-def _eval_vec(node: Ast, xs: np.ndarray) -> np.ndarray:
-    # constants stay scalars; no op writes into its operands, so xs itself
-    # stands for the variable
-    if isinstance(node, Const):
-        return xs.dtype.type(node.value)
-    if isinstance(node, Var):
-        return xs
-    if isinstance(node, Unary):
-        a = _eval_vec(node.arg, xs)
-        op = node.op
-        if op == "neg":
-            return -a
-        if op == "log":
-            return np.where(a > 0.0, np.log(np.where(a > 0.0, a, 1.0)), np.nan)
-        if op == "sqrt":
-            return np.where(a > 0.0, np.sqrt(np.where(a > 0.0, a, 1.0)), np.nan)
-        if op == "abs":
-            return np.abs(a)
-        return getattr(np, op)(a)
-    a = _eval_vec(node.lhs, xs)
-    b = _eval_vec(node.rhs, xs)
-    op = node.op
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return np.where(b != 0.0, a / np.where(b != 0.0, b, 1.0), np.nan)
-    # pow: numpy keeps the sign for integral exponents on negative bases
-    # and yields nan for fractional ones
-    return np.power(a, b)
+        cols = [np.where(np.isfinite(col), col, np.nan) for col in _walk(plan, visit)]
+    # a constant root (e.g. an unfolded log(-1)) comes back a scalar
+    return [col if col.shape == xs.shape else np.full(xs.shape, col, dtype=xs.dtype)
+            for col in cols]
 
 
 # -- interval enclosure -------------------------------------------------------
@@ -350,22 +604,27 @@ _WIDEN = 4 * 2.0 ** -52
 
 
 def enclose(node: Ast, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Interval enclosure of the tree over each interval [lo_i, hi_i].
+    """Interval enclosure of the expression over each interval [lo_i, hi_i].
 
     The natural interval extension (Moore, Kearfott & Cloud, *Introduction
     to Interval Analysis*, 2009, ch. 5): every operation maps enclosures of
     its operands to an interval holding all the values it takes on them,
     widened outward by a few ulps.  So each row ``[elo, ehi]`` holds the
-    tree's real values on its interval, and ``eval_array``'s.  A NaN row is
-    "not enclosed": division by an interval holding 0, a negative power of
-    an interval holding 0, a fractional power, log or sqrt of an interval
-    reaching 0 or below, a non-constant exponent, or a NaN on the way.
-    Rows come back as float64 arrays of the shape of ``lo``.
+    expression's real values on its interval, and ``eval_array``'s.  A NaN
+    row is "not enclosed": division by an interval holding 0, a negative
+    power of an interval holding 0, a fractional power, log or sqrt of an
+    interval reaching 0 or below, a non-constant exponent, or a NaN on the
+    way.  Rows come back as float64 arrays of the shape of ``lo``.
     """
+    return _enclosure(_plan([node]), lo, hi)
+
+
+def _enclosure(plan: tuple, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Enclosure of the plan's one root, as ``enclose`` describes it."""
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     with np.errstate(all="ignore"):
-        elo, ehi = _enclose(node, lo, hi)
+        [(elo, ehi)] = _walk(plan, lambda node, args: _enclose_node(node, args, lo, hi))
     # constant subtrees enclose as scalars: broadcast to the rows
     elo, ehi = np.broadcast_to(elo, lo.shape), np.broadcast_to(ehi, lo.shape)
     bad = np.isnan(elo) | np.isnan(ehi)
@@ -414,16 +673,16 @@ def _pow_const(lo, hi, p: float) -> tuple:
     return rlo, rhi  # odd: increasing
 
 
-def _enclose(node: Ast, lo, hi) -> tuple:
+def _enclose_node(node: Ast, args: list, lo, hi) -> tuple:
     # a NaN in either end of an operand makes at least one end of the
-    # result NaN; ``enclose`` then blanks the whole row
+    # result NaN; ``_enclosure`` then blanks the whole row
     if isinstance(node, Const):
         return node.value, node.value
     if isinstance(node, Var):
         return lo, hi
+    op = node.op
+    a, b = args[0]
     if isinstance(node, Unary):
-        a, b = _enclose(node.arg, lo, hi)
-        op = node.op
         if op == "neg":
             return -b, -a
         if op == "abs":
@@ -437,13 +696,11 @@ def _enclose(node: Ast, lo, hi) -> tuple:
         # exp sinh tanh log sqrt: increasing
         fn = getattr(np, op)
         return _out(fn(a), fn(b))
-    a, b = _enclose(node.lhs, lo, hi)
-    op = node.op
     if op == "pow":
         if not isinstance(node.rhs, Const):
             return math.nan, math.nan
         return _out(*_pow_const(a, b, float(node.rhs.value)))
-    c, d = _enclose(node.rhs, lo, hi)
+    c, d = args[1]
     if op == "add":
         return _out(a + c, b + d)
     if op == "sub":
@@ -458,185 +715,22 @@ def _enclose(node: Ast, lo, hi) -> tuple:
                 np.maximum(np.maximum(ends[0], ends[1]), np.maximum(ends[2], ends[3])))
 
 
-# -- differentiation ----------------------------------------------------------
-
-
-def differentiate(node: Ast) -> Ast:
-    """Exact derivative tree.
-
-    abs differentiates to u/|u| (the sign), so the derivative errors at the
-    kink under evaluation rather than here.  Raises ParseError when the
-    unsimplified derivative has more than MAX_DERIV_NODES nodes.
-    """
-    d = _diff(node)
-    if _tree_size(d) > MAX_DERIV_NODES:
-        raise ParseError(f"derivative tree larger than {MAX_DERIV_NODES} nodes", 0)
-    return simplify(d)
-
-
-def _tree_size(root: Ast) -> int:
-    """Node count of the tree, without recursion; a subtree object shared by
-    several parents is sized once and counted once per parent."""
-    size: dict[int, int] = {}
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Binary):
-            a, b = size.get(id(node.lhs)), size.get(id(node.rhs))
-            if a is None or b is None:
-                stack += (node, node.lhs, node.rhs)
-                continue
-            size[id(node)] = 1 + a + b
-        elif isinstance(node, Unary):
-            a = size.get(id(node.arg))
-            if a is None:
-                stack += (node, node.arg)
-                continue
-            size[id(node)] = 1 + a
-        else:
-            size[id(node)] = 1
-    return size[id(root)]
-
-
-def _diff(node: Ast) -> Ast:
-    if isinstance(node, Const):
-        return Const(0.0)
-    if isinstance(node, Var):
-        return Const(1.0)
-    if isinstance(node, Unary):
-        u = node.arg
-        du = _diff(u)
-        op = node.op
-        if op == "neg":
-            return Unary("neg", du)
-        if op == "sin":
-            return Binary("mul", Unary("cos", u), du)
-        if op == "cos":
-            return Unary("neg", Binary("mul", Unary("sin", u), du))
-        if op == "sinh":
-            return Binary("mul", Unary("cosh", u), du)
-        if op == "cosh":
-            return Binary("mul", Unary("sinh", u), du)
-        if op == "tanh":
-            sech2 = Binary("sub", Const(1.0), Binary("pow", Unary("tanh", u), Const(2.0)))
-            return Binary("mul", sech2, du)
-        if op == "exp":
-            return Binary("mul", Unary("exp", u), du)
-        if op == "log":
-            return Binary("div", du, u)
-        if op == "sqrt":
-            return Binary("div", du, Binary("mul", Const(2.0), Unary("sqrt", u)))
-        if op == "abs":
-            sign = Binary("div", u, Unary("abs", u))
-            return Binary("mul", sign, du)
-        raise ValueError(f"unknown unary op {op!r}")
-    u, v = node.lhs, node.rhs
-    du, dv = _diff(u), _diff(v)
-    op = node.op
-    if op in ("add", "sub"):
-        return Binary(op, du, dv)
-    if op == "mul":
-        return Binary("add", Binary("mul", du, v), Binary("mul", u, dv))
-    if op == "div":
-        num = Binary("sub", Binary("mul", du, v), Binary("mul", u, dv))
-        return Binary("div", num, Binary("pow", v, Const(2.0)))
-    # pow
-    if isinstance(v, Const):
-        p = v.value
-        if p == 0.0:
-            return Const(0.0)
-        stem = Binary("mul", Const(p), Binary("pow", u, Const(p - 1.0)))
-        return Binary("mul", stem, du)
-    # general exponent: u^v * (dv*log(u) + v*du/u); real only for u > 0
-    inner = Binary(
-        "add",
-        Binary("mul", dv, Unary("log", u)),
-        Binary("mul", v, Binary("div", du, u)),
-    )
-    return Binary("mul", Binary("pow", u, v), inner)
-
-
-# -- simplification -----------------------------------------------------------
-#
-# Deliberately small: 0/1 identities, constant subtree folding, double
-# negation.  Enough to keep three rounds of differentiation tractable
-# without turning into a CAS.  Folds preserve the value wherever the
-# unfolded tree evaluates.
-
-
-def simplify(node: Ast) -> Ast:
-    if isinstance(node, (Const, Var)):
-        return node
-    if isinstance(node, Unary):
-        a = simplify(node.arg)
-        if node.op == "neg":
-            if isinstance(a, Const):
-                return Const(-a.value)
-            if isinstance(a, Unary) and a.op == "neg":
-                return a.arg
-        if isinstance(a, Const):
-            folded = _try_fold(Unary(node.op, a))
-            if folded is not None:
-                return folded
-        return Unary(node.op, a)
-    a = simplify(node.lhs)
-    b = simplify(node.rhs)
-    op = node.op
-    if isinstance(a, Const) and isinstance(b, Const):
-        folded = _try_fold(Binary(op, a, b))
-        if folded is not None:
-            return folded
-    if op == "add":
-        if _is_const(a, 0.0):
-            return b
-        if _is_const(b, 0.0):
-            return a
-    elif op == "sub":
-        if _is_const(b, 0.0):
-            return a
-        if _is_const(a, 0.0):
-            return simplify(Unary("neg", b))
-    elif op == "mul":
-        if _is_const(a, 0.0) or _is_const(b, 0.0):
-            return Const(0.0)
-        if _is_const(a, 1.0):
-            return b
-        if _is_const(b, 1.0):
-            return a
-        if _is_const(a, -1.0):
-            return simplify(Unary("neg", b))
-        if _is_const(b, -1.0):
-            return simplify(Unary("neg", a))
-    elif op == "div":
-        if _is_const(b, 1.0):
-            return a
-    elif op == "pow":
-        if _is_const(b, 1.0):
-            return a
-        if _is_const(b, 0.0):
-            return Const(1.0)
-    return Binary(op, a, b)
-
-
-def _is_const(node: Ast, value: float) -> bool:
-    return isinstance(node, Const) and node.value == value
-
-
-def _try_fold(node: Ast) -> Optional[Const]:
-    try:
-        return Const(evaluate(node, 0.0))
-    except EvalDomainError:
-        return None
-
-
 # -- printing -----------------------------------------------------------------
 
 _PREC = {"add": 1, "sub": 1, "mul": 2, "div": 2, "neg": 3, "pow": 4}
 
 
 def print_expr(node: Ast) -> str:
-    """Render to grammar source; parse(print_expr(t)) == t for folded trees."""
-    return _fmt(node)
+    """Render to grammar source; parse(print_expr(t)) == t for folded trees.
+
+    The text writes a shared node once per use, so an expression of more
+    than MAX_DERIV_NODES nodes as a tree raises ExprError, counted over the
+    shared nodes before any text is made.
+    """
+    plan = _plan([node])
+    if _walk(plan, lambda _, sizes: 1 + sum(sizes))[0] > MAX_DERIV_NODES:
+        raise ExprError(f"expression larger than {MAX_DERIV_NODES} nodes as a tree")
+    return _walk(plan, _fmt)[0]
 
 
 def _is_atom(node: Ast) -> bool:
@@ -648,7 +742,8 @@ def _is_atom(node: Ast) -> bool:
     )
 
 
-def _fmt(node: Ast) -> str:
+def _fmt(node: Ast, args: list) -> str:
+    """The source of ``node`` from its operands' sources."""
     if isinstance(node, Const):
         v = node.value
         if v == int(v) and abs(v) < 1e16:
@@ -660,25 +755,23 @@ def _fmt(node: Ast) -> str:
         return node.name
     if isinstance(node, Unary):
         if node.op == "neg":
-            inner = _fmt(node.arg)
+            inner = args[0]
             # after '-', only a unary or power may follow
             if isinstance(node.arg, Binary) and node.arg.op != "pow":
                 inner = f"({inner})"
             return f"-{inner}"
-        return f"{node.op}({_fmt(node.arg)})"
+        return f"{node.op}({args[0]})"
     a, b, op = node.lhs, node.rhs, node.op
+    left, right = args
     if op == "pow":
-        base = _fmt(a) if _is_atom(a) else f"({_fmt(a)})"
+        base = left if _is_atom(a) else f"({left})"
         # the exponent slot accepts any unary (so neg and pow chains are fine)
-        expo = _fmt(b)
         if isinstance(b, Binary) and b.op != "pow":
-            expo = f"({expo})"
-        return f"{base}^{expo}"
+            right = f"({right})"
+        return f"{base}^{right}"
     sym = {"add": "+", "sub": "-", "mul": "*", "div": "/"}[op]
-    left = _fmt(a)
     if _prec_of(a) < _PREC[op]:
         left = f"({left})"
-    right = _fmt(b)
     # binary ops are left-associative: parenthesize an equal-precedence rhs
     if _prec_of(b) <= _PREC[op]:
         right = f"({right})"
@@ -782,9 +875,12 @@ class Component:
 
 
 class Func1D(Component):
-    """A one-variable function: expression tree plus an open domain interval.
+    """A one-variable function: an expression in ``var`` plus an open domain
+    interval.
 
-    Immutable after construction; derivative trees are built once, up front,
+    The value and its three derivatives are built once, up front, in one
+    table of shared nodes.  Each set of columns gets its node list on first
+    use and keeps it; two readers at once at worst make the same list twice,
     so concurrent shared reads are safe.
     """
 
@@ -793,12 +889,15 @@ class Func1D(Component):
         lo, hi = float(domain[0]), float(domain[1])
         if not lo < hi:
             raise ValueError(f"empty domain ({lo}, {hi})")
-        self.ast = simplify(ast)
+        dag = _Dag()
+        trees = [dag.rebuild(ast, var)]
+        for _ in range(3):
+            trees.append(dag.derive(trees[-1]))
+        self.ast = trees[0]
         self.domain = (lo, hi)
         self.var = var
-        d1 = differentiate(self.ast)
-        d2 = differentiate(d1)
-        self._trees = (self.ast, d1, d2, differentiate(d2))
+        self._trees = tuple(trees)
+        self._plans: dict[tuple, tuple] = {}  # orders -> node list
 
     @classmethod
     def parse(cls, src: str, var: str = "x",
@@ -811,8 +910,13 @@ class Func1D(Component):
     def source(self) -> str:
         return print_expr(self.ast)
 
+    def _plan_of(self, orders: tuple[int, ...]) -> tuple:
+        if orders not in self._plans:
+            self._plans[orders] = _plan([self._trees[k] for k in orders])
+        return self._plans[orders]
+
     def _cols(self, xs: np.ndarray, orders: tuple[int, ...]) -> list[np.ndarray]:
-        return [eval_array(self._trees[k], xs) for k in orders]
+        return _evaluate(self._plan_of(orders), xs)
 
     def _d1_enclosure(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return enclose(self._trees[1], lo, hi)
+        return _enclosure(self._plan_of((1,)), lo, hi)

@@ -32,7 +32,7 @@ from typing import Optional, get_args
 
 import numpy as np
 
-from .expr import Binary, Component, Const, Func1D, Unary, Var
+from .expr import Binary, Component, Const, Func1D
 from .geometry import SeparableSurface
 
 __all__ = [
@@ -698,17 +698,7 @@ def _chart_domain(m: float, n: float, side: int) -> tuple[float, float]:
 def _rebind(f: Func1D, var: str) -> Func1D:
     if f.var == var:
         return f
-    return Func1D(_rename_var(f.ast, var), f.domain, var)
-
-
-def _rename_var(node, var: str):
-    if isinstance(node, Var):
-        return Var(var)
-    if isinstance(node, Const):
-        return node
-    if isinstance(node, Unary):
-        return Unary(node.op, _rename_var(node.arg, var))
-    return Binary(node.op, _rename_var(node.lhs, var), _rename_var(node.rhs, var))
+    return Func1D(f.ast, f.domain, var)
 
 
 # -- box helpers ------------------------------------------------------------------

@@ -291,7 +291,8 @@ def _solve_targets(func, targets: np.ndarray,
             k = np.searchsorted(-vs, -targets)
         k = np.clip(k - 1, 0, vs.size - 2)
         ra, rb = vs[k] - targets, vs[k + 1] - targets
-        t = np.flatnonzero((ra * rb < 0.0) & np.isfinite(ra) & np.isfinite(rb))
+        with np.errstate(over="ignore"):  # an overflowed product keeps its sign
+            t = np.flatnonzero((ra * rb < 0.0) & np.isfinite(ra) & np.isfinite(rb))
         k = k[t]
         parts.append((t, xs[k], xs[k + 1], vs[k], cs[k]))
     t_idx, a, b, va, cert = (np.concatenate(p) for p in zip(*parts))

@@ -531,14 +531,14 @@ def _random_rotations(n: int, rng: np.random.Generator) -> np.ndarray:
     return np.linalg.qr(rng.normal(size=(n, 3, 3)))[0]
 
 
-def _curvature_rotated(surface: SeparableSurface, pts: np.ndarray,
-                       rng: np.random.Generator) -> np.ndarray:
-    """K by the general cofactor route on randomly rotated full Hessians.
+def _curvature_rotated(jets: tuple, rng: np.random.Generator) -> np.ndarray:
+    """K by the general cofactor route on randomly rotated full Hessians,
+    from a surface's ``jet_arrays``.
 
     The rotation fills every off-diagonal Hessian entry, so this shares no
     arithmetic with the separable short form of ``curvature_batch``.
     """
-    _, grad, hess = _implicit_jet_cols(*surface.jet_arrays(pts))
+    _, grad, hess = _implicit_jet_cols(*jets)
     return _curvature_implicit(*_rotate_jet(grad, hess, _random_rotations(len(grad), rng)))
 
 
@@ -555,13 +555,14 @@ def _constant_K_entries(entries):
 
 def _suite_geometry(report: TheoremCheckReport, seed: int, entries, samples) -> None:
     rng = np.random.default_rng(seed)
+    # each sample's jets, evaluated once; the checks below share only these
+    jets = {e.name: e.surface.jet_arrays(samples[e.name]) for e in entries}
 
     # two curvature routes agree
     worst, count = 0.0, 0
     for e in entries:
-        pts = samples[e.name]
-        w, c = _worst_rel(_curvature_rotated(e.surface, pts, rng),
-                          curvature_batch(e.surface, pts))
+        w, c = _worst_rel(_curvature_rotated(jets[e.name], rng),
+                          _curvature_cols(*jets[e.name]))
         worst = max(worst, w)
         count += c
     report.add("curvature-formula-agreement", worst, 1e-10, count)
@@ -569,7 +570,8 @@ def _suite_geometry(report: TheoremCheckReport, seed: int, entries, samples) -> 
     # invariance of the implicit route under rotations and under F -> lambda F
     rot_worst, rot_count, scale_worst, scale_count = 0.0, 0, 0.0, 0
     for e in entries:
-        _, grad, hess = _implicit_jet_cols(*e.surface.jet_arrays(samples[e.name][:40]))
+        head = (tuple(col[:40] for col in ja) for ja in jets[e.name])
+        _, grad, hess = _implicit_jet_cols(*head)
         K0 = _curvature_implicit(grad, hess)
         for _ in range(3):
             R = _random_rotations(len(grad), rng)
@@ -586,8 +588,8 @@ def _suite_geometry(report: TheoremCheckReport, seed: int, entries, samples) -> 
     # squared-slope identity residual at measured K
     worst, count = 0.0, 0
     for e in entries:
-        jets = e.surface.jet_arrays(samples[e.name])
-        r = k2_residual_batch(_level_state_cols(*jets), _curvature_cols(*jets))
+        r = k2_residual_batch(_level_state_cols(*jets[e.name]),
+                              _curvature_cols(*jets[e.name]))
         good = np.isfinite(r)
         worst = max(worst, float(np.max(np.abs(r[good]))))
         count += int(np.count_nonzero(good))
@@ -610,7 +612,7 @@ def _suite_geometry(report: TheoremCheckReport, seed: int, entries, samples) -> 
     for e in entries:
         if e.K != 0.0 or _has_tabulated(e.surface):
             continue
-        st = level_state_batch(e.surface, samples[e.name])
+        st = _level_state_cols(*jets[e.name])
         kx, ky, kz = st["kappa_x"], st["kappa_y"], st["kappa_z"]
         good = np.isfinite(kx) & np.isfinite(ky) & np.isfinite(kz)
         if not np.any(good):

@@ -89,7 +89,7 @@ def test_criterion_3_formula_cross_agreement():
         e = entries[i]
         pts = collect_samples(e.surface, e.box, 1000, seed=42, axis=e.axis)
         Ks = curvature_batch(e.surface, pts)
-        Ki = _curvature_rotated(e.surface, pts, rng)
+        Ki = _curvature_rotated(e.surface.jet_arrays(pts), rng)
         good = np.isfinite(Ks) & np.isfinite(Ki)
         d = np.abs(Ks[good] - Ki[good]) / (1.0 + np.abs(Ks[good]))
         worst = max(worst, float(np.max(d)))

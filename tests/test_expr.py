@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from pathlib import Path
@@ -7,12 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import draw_fd_case, eval_array_recursive, eval_math, random_tree
+from conftest import draw_fd_case, eval_array_recursive, eval_math, fd_jets, random_tree
+from sepsurf import expr
 from sepsurf.expr import (
     Binary,
     Const,
     EvalDomainError,
-    MAX_DERIV_NODES,
+    ExprError,
     MAX_NESTING,
     MAX_TOKENS,
     Func1D,
@@ -127,33 +129,88 @@ def test_parse_bounds_flat_chains_by_token_count(op):
             parse_expr(src)
 
 
+_CHAIN = "x" + "{op}x" * (MAX_TOKENS // 2 - 1)  # 128 factors, MAX_TOKENS - 1 tokens
+
+
 @pytest.mark.parametrize("op", ["*", "/"])
-def test_derivative_trees_are_bounded(op):
-    # three orders grow product and quotient chains about as n^4
-    Func1D.parse(op.join(["x"] * 10))
-    with pytest.raises(ParseError, match=f"larger than {MAX_DERIV_NODES} nodes"):
-        Func1D.parse(op.join(["x"] * (MAX_TOKENS // 2)))
+def test_derivative_trees_are_bounded(op, monkeypatch):
+    # interned derivatives of a chain of n factors need about linearly many
+    # nodes over three orders, so the longest chain the parser takes fits
+    f = Func1D.parse(_CHAIN.format(op=op))
+    p = 128.0 if op == "*" else -126.0
+    for x in (0.8, 1.1, 1.4):
+        exact = (p * x ** (p - 1), p * (p - 1) * x ** (p - 2),
+                 p * (p - 1) * (p - 2) * x ** (p - 3))
+        jet = f.jet3(x).as_tuple()[1:]
+        # the oracle's truncation error grows with the exponent: 4.4e-6 at
+        # worst here for d3
+        for sym, num, ref in zip(jet, fd_jets(f, x), exact):
+            assert abs(sym - num) <= 1e-5 * abs(num)
+            assert abs(sym - ref) <= 1e-13 * abs(ref)
+    monkeypatch.setattr(expr, "MAX_DERIV_NODES", 300)
+    with pytest.raises(ParseError, match="larger than 300 nodes"):
+        Func1D.parse(_CHAIN.format(op=op))
 
 
-def test_reference_expressions_fit_the_derivative_budget(monkeypatch):
+def test_deep_derivatives_need_no_recursion():
+    # the third derivative of the 128-factor quotient chain nests 1 267
+    # levels deep, past the default recursion limit
+    src = _CHAIN.format(op="/")
+    d3 = parse_expr(src)
+    for _ in range(3):
+        d3 = differentiate(d3)
+    f = Func1D.parse(src)
+    xs = np.linspace(0.6, 1.4, 33)
+    jets = f.jet3_array(xs)
+    assert all(np.all(np.isfinite(col)) for col in jets)
+    assert eval_array(d3, xs).tobytes() == jets[3].tobytes()
+    elo, ehi = f._d1_enclosure(xs[:-1], xs[1:])
+    assert np.all(elo <= jets[1][1:]) and np.all(jets[1][:-1] <= ehi)
+    lo, hi = enclose(d3, xs[:-1], xs[1:])
+    assert np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))
+    # written out as a tree, d3 has about 4e8 nodes: printing refuses it
+    # after counting them over the shared nodes
+    assert parse_expr(print_expr(f._trees[0])) == f._trees[0]
+    with pytest.raises(ExprError, match=f"larger than {expr.MAX_DERIV_NODES} nodes"):
+        print_expr(d3)
+
+
+def _reference_funcs(monkeypatch) -> list:
+    """The closed-form components of the benchmark's expression pool, the
+    presets, the catalog and random draws of every family."""
     from sepsurf.families import PRESETS, build_surface
     from sepsurf.verify import FAMILY_TAGS, catalog, random_family
 
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
     from workloads import EXPR_POOL
 
+    funcs = []
     rng = random.Random(0)
     for _ in range(10):
         for make in EXPR_POOL:
             for var in "xyz":
-                Func1D.parse(make(rng, var)[0], var)
-    for spec in PRESETS.values():
-        build_surface(spec)
-    assert len(catalog()) == 12
+                funcs.append(Func1D.parse(make(rng, var)[0], var))
+    surfaces = [build_surface(spec) for spec in PRESETS.values()]
+    surfaces += [e.surface for e in catalog()]
     np_rng = np.random.default_rng(0)
     for tag in FAMILY_TAGS:
         for _ in range(3):
-            build_surface(random_family(tag, np_rng)[0])
+            surfaces.append(build_surface(random_family(tag, np_rng)[0]))
+    return funcs + [c for s in surfaces for c in s.components if isinstance(c, Func1D)]
+
+
+def test_reference_expressions_fit_the_derivative_budget(monkeypatch):
+    assert len(_reference_funcs(monkeypatch)) == 373
+
+
+def test_reference_derivative_trees_are_pinned(monkeypatch):
+    # a simplification or derivative rule that moves changes these bytes
+    digest = hashlib.sha256()
+    for f in _reference_funcs(monkeypatch):
+        for tree in f._trees[1:]:
+            digest.update(print_expr(tree).encode() + b"\n")
+    assert digest.hexdigest() == (
+        "ec75ba123aa189b08b6301f99bca2f63824a9be3b99adcc6deaee89c45ca687e")
 
 
 # -- evaluation -----------------------------------------------------------------
