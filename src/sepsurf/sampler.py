@@ -4,22 +4,27 @@ Every column along a coordinate axis solves h(t) = target for the same
 one-variable h; only the target changes.  So the root engine builds one
 node set per call, independent of the targets: 257 evenly spaced nodes plus
 the critical points of h (bisected on h') where h' changes sign between
-them.  Each monotone run of node values brackets a target at most once,
-and one binary search per run finds that bracket for all columns at once;
-an evenly spaced interval that a critical point split is also searched
-whole, so every root a scan of the 257 nodes finds is kept.  An interval
+them.  Each monotone run of node values brackets a target at most once.
+The targets are sorted once, and one binary search of the sorted targets
+per run finds that bracket for all columns at once; exact hits on nodes
+come from searching the sorted node values in the sorted targets.  An
+evenly spaced interval that a critical point split is also searched whole,
+so every root a scan of the 257 nodes finds is kept.  An interval
 enclosure of h' over each node interval (``expr.enclose``) that excludes 0
 proves h strictly monotone there, so a bracket in such a certified interval
-holds exactly one root: all of those take a bracketed Newton together,
-which converges in a few steps.  Every other bracket (a tabulated h, an
+holds exactly one root: all of those take a bracketed Newton together.  It
+starts from the inverse cubic Hermite interpolant of the bracket's node
+values and slopes, and most roots converge after two steps, each one walk
+of h for value and slope.  Every other bracket (a tabulated h, an
 enclosure holding 0 or NaN, a split interval searched whole) is bisected
 to 1e-13 and takes one Newton polish.  Both end one Newton step from a
 point within an ulp or two of the root, so they agree to about an ulp
-where the root is well conditioned.  One sort then groups the roots by
-column and drops duplicates.  Time is O(runs * columns * log nodes +
-roots), memory O(columns + roots).  The same engine backs the one-column
-``solve_axis`` and the batched samplers, so both produce bit-identical
-roots.
+where the root is well conditioned.  A stable sort of the column index
+then groups the roots (a ``lexsort`` runs only where a column's roots do
+not already ascend), and duplicates are dropped.  Time is O(columns * log
+columns + runs * columns * log nodes + roots), memory O(columns + roots).
+The same engine backs the one-column ``solve_axis`` and the batched
+samplers, so both produce bit-identical roots.
 
 Meshes come from the standard 256-case marching-cubes tables (Lorensen &
 Cline 1987), applied to all cells at once through global grid-edge ids,
@@ -162,49 +167,57 @@ def _bisect_polished(func, target: np.ndarray, a: np.ndarray, b: np.ndarray,
 
 
 def _newton(func, target: np.ndarray, a: np.ndarray, b: np.ndarray,
-            fa: np.ndarray) -> np.ndarray:
+            fa: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Roots of func(t) = target by bracketed Newton, for brackets [a, b]
     that each hold exactly one root.
 
     This is ``rtsafe`` (Press et al., *Numerical Recipes*, 3rd ed., 9.4) on
     all rows at once.  ``fa`` is func(a) - target per row; each row starts
-    at its midpoint.  Every step first moves the bracket end on the point's
-    side up to the point (a non-finite value keeps the left half, as in
-    _bisect).  A row converges where its value is 0 or its Newton step is
-    at most one ulp of the point, and then returns that step's end.  This
-    is tested before the step is checked against the bracket: at the root
-    the point has just become a bracket end, so the step cannot land
-    strictly inside.  (Stopping at two ulps instead ends on the far
-    neighbour of the root more often than the bisection does.)  Otherwise
-    the Newton step is taken where it is finite, lands strictly inside the
-    bracket and is at most half the step before last; else the row bisects,
-    and stops once bisection no longer moves it.  Converged rows retire;
-    after _BISECT_ITERS steps the rest keep their last point.  Each row's
-    result depends on that row alone.
+    at ``x``, a point inside its bracket.  Each step takes the value and
+    slope at the point from one walk of the expression.  A row converges
+    where its value is 0 or its Newton step is at most one ulp of the
+    point, and then returns that step's end.  This is tested before the
+    bracket is consulted: at the root the point is about to become a
+    bracket end, so the step could not land strictly inside.  (Stopping at
+    two ulps instead ends on the far neighbour of the root more often than
+    the bisection does.)  Converged rows retire there.  Every other row
+    moves the bracket end on the point's side up to the point (a
+    non-finite value keeps the left half, as in _bisect), then takes the
+    Newton step where it is finite, lands strictly inside the bracket and
+    is at most half the step before last; else it bisects, and stops once
+    bisection no longer moves it.  After _BISECT_ITERS steps the rest keep
+    their last point.  Each row's result depends on that row alone.  From
+    _hermite_start's point most rows converge on the second step, so a
+    root costs about two walks.
     """
     out = np.empty(target.size)
     rows = np.arange(target.size)
-    x, dx = 0.5 * (a + b), b - a
+    dx = b - a
     dx_old = dx
     for _ in range(_BISECT_ITERS):
         if not rows.size:
             break
-        f = func.value_array(x) - target
-        d = func.d1_array(x)
-        right = f * fa > 0.0  # x on a's side: the root is in (x, b)
-        a, fa, b = np.where(right, x, a), np.where(right, f, fa), np.where(right, b, x)
+        f, d = func._masked_cols(x, (0, 1))
+        f -= target
         with np.errstate(all="ignore"):
             step = f / d
         xn = x - step
+        converged = (f == 0.0) | (np.abs(step) <= np.spacing(np.abs(x)))
+        if converged.any():
+            out[rows[converged]] = np.where(f == 0.0, x, xn)[converged]
+            keep = ~converged
+            rows, x, f, d, step, xn, a, b, fa, target, dx, dx_old = (
+                v[keep] for v in (rows, x, f, d, step, xn, a, b, fa, target, dx, dx_old))
+        right = f * fa > 0.0  # x on a's side: the root is in (x, b)
+        a, fa, b = np.where(right, x, a), np.where(right, f, fa), np.where(right, b, x)
         newton = (np.isfinite(xn) & (xn > a) & (xn < b)
                   & (np.abs(2.0 * f) <= np.abs(dx_old * d)))
         nxt = np.where(newton, xn, 0.5 * (a + b))
-        converged = (f == 0.0) | (np.abs(step) <= np.spacing(np.abs(x)))
-        done = converged | (nxt == x)
         dx_old, dx = dx, np.where(newton, step, 0.5 * (b - a))
-        if done.any():
-            out[rows[done]] = np.where(converged, np.where(f == 0.0, x, xn), nxt)[done]
-            keep = ~done
+        stuck = nxt == x
+        if stuck.any():
+            out[rows[stuck]] = nxt[stuck]
+            keep = ~stuck
             rows, nxt, a, b, fa, target, dx, dx_old = (
                 v[keep] for v in (rows, nxt, a, b, fa, target, dx, dx_old))
         x = nxt
@@ -212,8 +225,9 @@ def _newton(func, target: np.ndarray, a: np.ndarray, b: np.ndarray,
     return out
 
 
-def _critical_points(func, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Critical points of func between neighbouring nodes, as (k, point).
+def _critical_points(func, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """func' at the nodes, and the critical points of func between
+    neighbouring nodes as (k, point).
 
     Nodes k and k + 1 whose derivatives have strictly opposite signs (NaN
     has none) hold a critical point; it is bisected on func' and kept where
@@ -225,7 +239,7 @@ def _critical_points(func, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a, b = _bisect(func.d1_array, np.zeros(k.size), nodes[k], nodes[k + 1], d1[k])
     crit = 0.5 * (a + b)
     inside = (crit > nodes[k]) & (crit < nodes[k + 1])
-    return k[inside], crit[inside]
+    return d1, k[inside], crit[inside]
 
 
 def _solve_targets(func, targets: np.ndarray,
@@ -236,23 +250,34 @@ def _solve_targets(func, targets: np.ndarray,
     column, then ascending root.  The node set does not depend on the
     targets: SCAN_SUBDIVISIONS + 1 evenly spaced nodes plus the critical
     points of func where func' changes sign between them.  The finite node
-    values split into strictly monotone runs; in each run one
-    ``searchsorted`` over all targets names the only interval that can
-    bracket a target, and the sign-change test accepts or rejects it.  Exact
-    hits on nodes (all but the last) come from a search of the sorted node
-    values.  On the same node set, brackets and hits equal those of a dense
-    sign-change scan of every node pair for every target.  An evenly spaced
-    interval that a critical point split is searched whole as well: its
-    bracket, bisected as before, gives the root a scan of the evenly spaced
-    nodes alone finds, which the halves may miss when the interval holds
-    three roots.  A bracket in a node interval where the enclosure of
+    values split into strictly monotone runs.  The targets are sorted once
+    (NaN last); in each run one ``searchsorted`` of the sorted targets
+    (negated and reversed on a decreasing run) names the only interval that
+    can bracket each target, and the sign-change test, back in column
+    order, accepts or rejects it.  Exact hits on nodes (all but the last)
+    come from a search of the sorted finite node values in the sorted
+    targets.  On the same node set, brackets and hits equal those of a
+    dense sign-change scan of every node pair for every target.  An evenly
+    spaced interval that a critical point split is searched whole as well:
+    its bracket, bisected as before, gives the root a scan of the evenly
+    spaced nodes alone finds, which the halves may miss when the interval
+    holds three roots.  A bracket in a node interval where the enclosure of
     func' excludes 0 holds exactly one root and goes to _newton.  Every
     other bracket (that whole split interval included, which is never
     certified) is bisected a fixed 60 times (window/2^60 < 1e-13 for any
-    window used here) and takes one Newton polish, as _bisect_polished.  On
-    a certified bracket both find the same root, to about an ulp, and
-    Newton takes a few steps instead of about 48.  Roots within 1e-11
-    (relative) of the previous one in their column are dropped.
+    window used here) and takes one Newton polish, as _bisect_polished.
+    Newton starts at _hermite_start's point, from the bracket's node values
+    and slopes (func' at the evenly spaced nodes, 0 at a critical point,
+    where the start falls back to the secant).  On a certified bracket both
+    find the same root, to about an ulp, and Newton takes about two steps
+    instead of about 48 halvings.
+
+    The brackets arrive run by run, each run in column order, and the hits
+    last, so a stable sort of the column index groups them by column.  The
+    roots then ascend within each column unless a split interval's root or
+    a hit lies left of a run's root (or a root is NaN); only then does a
+    ``lexsort`` order them by root as well.  Roots within 1e-11 (relative)
+    of the previous one in their column are dropped.
     """
     targets = np.asarray(targets, dtype=float)
     lo, hi = _axis_window(func, window)
@@ -261,7 +286,7 @@ def _solve_targets(func, targets: np.ndarray,
     eps = 1e-12 * (abs(lo) + abs(hi) + 1.0)
     grid = np.linspace(lo + eps, hi - eps, SCAN_SUBDIVISIONS + 1)
     grid_vals = func.value_array(grid)
-    split, crit = _critical_points(func, grid)
+    _, split, crit = _critical_points(func, grid)
     nodes = np.insert(grid, split + 1, crit)
     vals = np.insert(grid_vals, split + 1, func.value_array(crit))
     # an enclosure of func' that excludes 0 proves func strictly monotone on
@@ -269,58 +294,73 @@ def _solve_targets(func, targets: np.ndarray,
     d1_lo, d1_hi = func._d1_enclosure(nodes[:-1], nodes[1:])
     certified = (d1_lo > 0.0) | (d1_hi < 0.0)
 
-    # monotone runs: maximal stretches of finite node pairs stepping the same
-    # strict direction (equal neighbours bracket nothing and join no run)
+    # monotone runs, as the indices of their nodes: maximal stretches of
+    # finite node pairs stepping the same strict direction (equal neighbours
+    # bracket nothing and join no run)
     finite = np.isfinite(vals)
     with np.errstate(invalid="ignore"):
         step = np.where(finite[:-1] & finite[1:], np.sign(np.diff(vals)), 0.0)
     edges = np.flatnonzero(np.diff(step, prepend=0.0, append=0.0))
-    runs = [(nodes[i0:i1 + 1], vals[i0:i1 + 1], certified[i0:i1])
+    runs = [np.arange(i0, i1 + 1)
             for i0, i1 in zip(edges[:-1].tolist(), edges[1:].tolist()) if step[i0] != 0.0]
-    # a grid interval split by a critical point is also searched whole, and
-    # is never certified
-    runs += [(grid[k:k + 2], grid_vals[k:k + 2], np.zeros(1, dtype=bool))
-             for k in split.tolist()]
+    # a grid interval split by a critical point is also searched whole (the
+    # j-th split interval starts at node k + j and ends two nodes on)
+    runs += [np.array([k + j, k + j + 2]) for j, k in enumerate(split.tolist())]
 
-    # brackets: per run, the one interval where f - target may change sign
-    parts = [(np.empty(0, dtype=np.intp),) + (np.empty(0),) * 3 + (np.empty(0, dtype=bool),)]
-    for xs, vs, cs in runs:
+    # brackets: per run, the one interval where f - target may change sign,
+    # searched for the sorted targets and tested in column order
+    order = np.argsort(targets)
+    st = targets[order]
+    st_desc = (-st)[::-1]
+    pos = np.empty(targets.size, dtype=np.intp)
+    parts = [(np.empty(0, dtype=np.intp),) * 3]
+    for idx in runs:
+        vs = vals[idx]
         if vs[1] > vs[0]:
-            k = np.searchsorted(vs, targets)
+            pos[order] = np.searchsorted(vs, st)
         else:
-            k = np.searchsorted(-vs, -targets)
-        k = np.clip(k - 1, 0, vs.size - 2)
+            pos[order] = np.searchsorted(-vs, st_desc)[::-1]
+        k = np.clip(pos - 1, 0, vs.size - 2)
         ra, rb = vs[k] - targets, vs[k + 1] - targets
         with np.errstate(over="ignore"):  # an overflowed product keeps its sign
             t = np.flatnonzero((ra * rb < 0.0) & np.isfinite(ra) & np.isfinite(rb))
         k = k[t]
-        parts.append((t, xs[k], xs[k + 1], vs[k], cs[k]))
-    t_idx, a, b, va, cert = (np.concatenate(p) for p in zip(*parts))
+        parts.append((t, idx[k], idx[k + 1]))
+    t_idx, left, right = (np.concatenate(p) for p in zip(*parts))
+    cert = certified[left] & (right == left + 1)
 
-    # exact hits: the finite values of nodes[:-1] equal to a target
+    # exact hits: the finite values of nodes[:-1] equal to a target, found
+    # by searching the sorted node values in the sorted targets
     ids = np.flatnonzero(finite[:-1])
     ids = ids[np.argsort(vals[ids], kind="stable")]
-    sorted_vals = vals[ids]
-    first = np.searchsorted(sorted_vals, targets, side="left")
-    count = np.searchsorted(sorted_vals, targets, side="right") - first
-    hit_t = np.repeat(np.arange(targets.size), count)
-    offset = np.arange(hit_t.size) - np.repeat(np.cumsum(count) - count, count)
-    hit_s = ids[np.repeat(first, count) + offset]
+    first = np.searchsorted(st, vals[ids], side="left")
+    count = np.searchsorted(st, vals[ids], side="right") - first
+    hit_s = np.repeat(ids, count)
+    offset = np.arange(hit_s.size) - np.repeat(np.cumsum(count) - count, count)
+    hit_t = order[np.repeat(first, count) + offset]
 
     tgt = targets[t_idx]
-    fa = va - tgt
+    fa = vals[left] - tgt
     root = np.empty(t_idx.size)
-    for rows, solve in ((np.flatnonzero(cert), _newton),
-                        (np.flatnonzero(~cert), _bisect_polished)):
-        root[rows] = solve(func, tgt[rows], a[rows], b[rows], fa[rows])
+    rows = np.flatnonzero(cert)
+    lr, rr = left[rows], right[rows]
+    start = 0.5 * (nodes[lr] + nodes[rr])
+    root[rows] = _newton(func, tgt[rows], nodes[lr], nodes[rr], fa[rows], start)
+    rows = np.flatnonzero(~cert)
+    root[rows] = _bisect_polished(func, tgt[rows], nodes[left[rows]], nodes[right[rows]],
+                                  fa[rows])
 
     # group by column, ascending; drop duplicates within scan resolution
     col = np.concatenate([t_idx, hit_t])
     root = np.concatenate([root, nodes[hit_s]])
-    order = np.lexsort((root, col))
-    col, root = col[order], root[order]
+    by_col = np.argsort(col, kind="stable")
+    col, root = col[by_col], root[by_col]
+    new_col = col[1:] != col[:-1]
+    if not np.all(new_col | (root[1:] >= root[:-1])):  # a NaN root fails too
+        by_root = np.lexsort((root, col))  # keeps col, and so new_col, as is
+        col, root = col[by_root], root[by_root]
     keep = np.ones(col.size, dtype=bool)
-    keep[1:] = (col[1:] != col[:-1]) | (np.diff(root) > 1e-11 * (1.0 + np.abs(root[1:])))
+    keep[1:] = new_col | (np.diff(root) > 1e-11 * (1.0 + np.abs(root[1:])))
     return col[keep], root[keep]
 
 

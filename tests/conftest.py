@@ -12,8 +12,8 @@ two agree bit for bit.
 sign-change scan of the 257 evenly spaced nodes for every target, then the
 same root method per bracket as ``sampler._solve_targets``.  A bracket in
 a node interval where the enclosure of h' excludes 0 goes to the engine's
-bracketed Newton kernel; every other bracket takes a plain loop of the
-same bisection and Newton polish.  The roots of each column are picked
+bracketed Newton kernel, started where the engine starts it; every other
+bracket takes a plain loop of the same bisection and Newton polish.  The roots of each column are picked
 out, sorted and de-duplicated one column at a time, and the points are
 built one by one.  Wherever the engine inserts no critical point into a
 bracketing interval, the two agree bit for bit.  With ``certify=False``
@@ -234,8 +234,10 @@ def solve_targets_loop(func, targets, window, certify=True):
     newton = ((d1_lo > 0.0) | (d1_hi < 0.0))[s_idx] & certify
     root = np.empty(t_idx.size)
     n_idx = np.flatnonzero(newton)
-    root[n_idx] = sampler._newton(func, targets[t_idx[n_idx]], nodes[s_idx[n_idx]],
-                                  nodes[s_idx[n_idx] + 1], resid[t_idx[n_idx], s_idx[n_idx]])
+    t_n, s_n = t_idx[n_idx], s_idx[n_idx]
+    start = 0.5 * (nodes[s_n] + nodes[s_n + 1])
+    root[n_idx] = sampler._newton(func, targets[t_n], nodes[s_n], nodes[s_n + 1],
+                                  resid[t_n, s_n], start)
 
     t_b, s_b = t_idx[~newton], s_idx[~newton]
     a = nodes[s_b].copy()

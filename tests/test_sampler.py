@@ -197,6 +197,72 @@ def test_root_engine_empty_window_and_zero_columns():
         assert pts.shape == (0, 3)
 
 
+def _scan_nodes(window):
+    lo, hi = window
+    eps = 1e-12 * (abs(lo) + abs(hi) + 1.0)
+    return np.linspace(lo + eps, hi - eps, sampler.SCAN_SUBDIVISIONS + 1)
+
+
+def _assert_targets_match_loop(func, targets, window):
+    """_solve_targets equals the dense per-target scan bit for bit."""
+    col, root = sampler._solve_targets(func, targets, window)
+    with np.errstate(over="ignore"):  # the scan's products may overflow
+        expected = solve_targets_loop(func, targets, window)
+    assert np.array_equal(col, np.repeat(np.arange(targets.size), [r.size for r in expected]))
+    assert _same_bits(root, np.concatenate(expected))
+    return col, root
+
+
+def test_sorted_search_hits_and_grouping_match_loop(monkeypatch):
+    # the sorted-key bracket search, the exact hits found from the node
+    # side and the grouping by a stable column sort, against the dense scan
+    lexsorts = []
+    lexsort = np.lexsort
+    monkeypatch.setattr(np, "lexsort", lambda keys: lexsorts.append(1) or lexsort(keys))
+    window = (-1.1, 1.3)
+    nodes = _scan_nodes(window)
+    hit_nodes = [3, 40, 200, 255]
+    rng = np.random.default_rng(12)
+    # the sphere's h has a decreasing and an increasing run, exp(-z) one
+    # decreasing run
+    for src, lo_v, hi_v in (("z^2-1", -0.9, 0.6), ("exp(-z)", 0.3, 3.0)):
+        func = Func1D.parse(src, "z")
+        hits = func.value_array(nodes[hit_nodes])
+        plain = rng.uniform(lo_v, hi_v, 300)
+        targets = np.concatenate([hits, hits[:2], plain, plain[:50],
+                                  [np.nan, np.inf, -np.inf, 1e300, -5.0]])
+        rng.shuffle(targets)
+        col, root = _assert_targets_match_loop(func, targets, window)
+        assert set(nodes[hit_nodes]) <= set(root)
+        assert np.all(np.isfinite(targets[col]))
+        per_col = np.bincount(col, minlength=targets.size)
+        if src == "z^2-1":
+            assert np.all(per_col[(targets > -0.9) & (targets < 0.21)] == 2)
+
+    # a critical point splits grid interval k: the root left of it comes
+    # from the half interval (a run) and from the whole interval, which is
+    # searched after the runs, and the column's other root from the next
+    # run, so the column sort leaves it out of order and lexsort runs.  The
+    # left half is certified here, the whole interval never is.
+    k = 160
+    c = float(nodes[k] + 0.7 * (nodes[k + 1] - nodes[k]))
+    func = Func1D.parse(f"(z-{c!r})^2", "z")
+    assert sampler._critical_points(func, nodes)[1].tolist() == [k]
+    left = nodes[k] + np.linspace(0.05, 0.5, 10) * (c - nodes[k])
+    targets = np.concatenate([(c - left) ** 2, rng.uniform(0.01, 1.0, 20)])
+    brackets = []
+    newton = sampler._newton
+    monkeypatch.setattr(sampler, "_newton", lambda func, target, a, b, *rest: (
+        brackets.append((a, b)) or newton(func, target, a, b, *rest)))
+    lexsorts.clear()
+    col, root = _assert_targets_match_loop(func, targets, window)
+    assert lexsorts
+    d1_lo, d1_hi = func._d1_enclosure(*(np.concatenate(v) for v in zip(*brackets)))
+    assert np.all((d1_lo > 0.0) | (d1_hi < 0.0))
+    assert np.all(np.bincount(col)[:10] == 2)
+    assert np.allclose(root[np.searchsorted(col, np.arange(10))], left, rtol=0.0, atol=1e-14)
+
+
 _SAMPLE_CASES = ["paper-fig1-left", "paper-fig1-middle", "paper-fig1-right", "sphere",
                  "right-cylinder"]
 
@@ -257,9 +323,9 @@ def test_deep_expression_bisects_every_uncertified_interval(monkeypatch):
     seen = {}
 
     def spy(name, solve):
-        def run(func, target, a, b, fa):
+        def run(func, target, a, b, fa, *start):
             seen[name] = (a, b)
-            return solve(func, target, a, b, fa)
+            return solve(func, target, a, b, fa, *start)
         return run
 
     monkeypatch.setattr(sampler, "_newton", spy("newton", sampler._newton))
