@@ -225,6 +225,28 @@ def _newton(func, target: np.ndarray, a: np.ndarray, b: np.ndarray,
     return out
 
 
+def _hermite_start(target: np.ndarray, a: np.ndarray, b: np.ndarray, va: np.ndarray,
+                   vb: np.ndarray, da: np.ndarray, db: np.ndarray) -> np.ndarray:
+    """Newton start in each bracket [a, b] of a strictly monotone func.
+
+    The inverse of func runs from (va, a) to (vb, b) with slopes 1 / da and
+    1 / db, where va, vb are func's values and da, db its slopes at a and b;
+    the start is that inverse's cubic Hermite interpolant at the target:
+    with s = (target - va) / (vb - va) and h = b - a, the secant point
+    a + s h plus s (1 - s) ((vb - va) ((1 - s) / da - s / db) - h (1 - 2 s)).
+    Where that point is not finite or not strictly inside (a, b), the
+    secant point is taken, and where that fails too, the midpoint.
+    """
+    with np.errstate(all="ignore"):
+        h = b - a
+        s = (target - va) / (vb - va)
+        secant = a + s * h
+        x = secant + s * (1.0 - s) * ((vb - va) * ((1.0 - s) / da - s / db)
+                                      - h * (1.0 - 2.0 * s))
+    x = np.where(np.isfinite(x) & (x > a) & (x < b), x, secant)
+    return np.where(np.isfinite(x) & (x > a) & (x < b), x, 0.5 * (a + b))
+
+
 def _critical_points(func, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """func' at the nodes, and the critical points of func between
     neighbouring nodes as (k, point).
@@ -286,9 +308,10 @@ def _solve_targets(func, targets: np.ndarray,
     eps = 1e-12 * (abs(lo) + abs(hi) + 1.0)
     grid = np.linspace(lo + eps, hi - eps, SCAN_SUBDIVISIONS + 1)
     grid_vals = func.value_array(grid)
-    _, split, crit = _critical_points(func, grid)
+    grid_d1, split, crit = _critical_points(func, grid)
     nodes = np.insert(grid, split + 1, crit)
     vals = np.insert(grid_vals, split + 1, func.value_array(crit))
+    slopes = np.insert(grid_d1, split + 1, 0.0)  # func' vanishes at a critical point
     # an enclosure of func' that excludes 0 proves func strictly monotone on
     # the interval, so a bracket there holds exactly one root
     d1_lo, d1_hi = func._d1_enclosure(nodes[:-1], nodes[1:])
@@ -344,7 +367,8 @@ def _solve_targets(func, targets: np.ndarray,
     root = np.empty(t_idx.size)
     rows = np.flatnonzero(cert)
     lr, rr = left[rows], right[rows]
-    start = 0.5 * (nodes[lr] + nodes[rr])
+    start = _hermite_start(tgt[rows], nodes[lr], nodes[rr], vals[lr], vals[rr],
+                           slopes[lr], slopes[rr])
     root[rows] = _newton(func, tgt[rows], nodes[lr], nodes[rr], fa[rows], start)
     rows = np.flatnonzero(~cert)
     root[rows] = _bisect_polished(func, tgt[rows], nodes[left[rows]], nodes[right[rows]],

@@ -12,13 +12,14 @@ two agree bit for bit.
 sign-change scan of the 257 evenly spaced nodes for every target, then the
 same root method per bracket as ``sampler._solve_targets``.  A bracket in
 a node interval where the enclosure of h' excludes 0 goes to the engine's
-bracketed Newton kernel, started where the engine starts it; every other
-bracket takes a plain loop of the same bisection and Newton polish.  The roots of each column are picked
-out, sorted and de-duplicated one column at a time, and the points are
-built one by one.  Wherever the engine inserts no critical point into a
-bracketing interval, the two agree bit for bit.  With ``certify=False``
-every bracket is bisected: that is the accuracy reference for the Newton
-kernel.
+bracketed Newton kernel, started where the engine starts it (the inverse
+cubic Hermite point of the bracket's node values and slopes); every other
+bracket takes a plain loop of the same bisection and Newton polish.  The
+roots of each column are picked out, sorted and de-duplicated one column
+at a time, and the points are built one by one.  Wherever the engine
+inserts no critical point into a bracketing interval, the two agree bit
+for bit.  With ``certify=False`` every bracket is bisected: that is the
+accuracy reference for the Newton kernel.
 
 ``marching_cubes_loop`` is marching cubes as a per-cell loop: each active
 cell's table row is walked slot by slot and a dict keyed by (grid corner,
@@ -235,7 +236,9 @@ def solve_targets_loop(func, targets, window, certify=True):
     root = np.empty(t_idx.size)
     n_idx = np.flatnonzero(newton)
     t_n, s_n = t_idx[n_idx], s_idx[n_idx]
-    start = 0.5 * (nodes[s_n] + nodes[s_n + 1])
+    d1 = func.d1_array(nodes)
+    start = sampler._hermite_start(targets[t_n], nodes[s_n], nodes[s_n + 1], vals[s_n],
+                                   vals[s_n + 1], d1[s_n], d1[s_n + 1])
     root[n_idx] = sampler._newton(func, targets[t_n], nodes[s_n], nodes[s_n + 1],
                                   resid[t_n, s_n], start)
 

@@ -22,6 +22,7 @@ from sepsurf.sampler import (
     solve_axis,
     solve_many,
 )
+from sepsurf.verify import collect_samples
 
 
 def sphere(r=1.0):
@@ -336,6 +337,40 @@ def test_deep_expression_bisects_every_uncertified_interval(monkeypatch):
         lo, hi = func._d1_enclosure(*seen[name])
         assert lo.size > 100
         assert np.all(((lo > 0.0) | (hi < 0.0)) == certified)
+
+
+@pytest.mark.parametrize("case", ["paper-fig1-left", "paper-fig1-middle", "paper-fig1-right",
+                                  "sphere"])
+def test_newton_walks_about_twice_per_certified_root(case, monkeypatch):
+    # from the inverse cubic Hermite start a certified root takes about two
+    # value-and-slope walks: rows of h evaluated inside _newton, per root
+    if case == "sphere":
+        surf, box = sphere(), (-1.0, 1.0, -1.0, 1.0, -1.0, 1.0)
+    else:
+        surf, box = preset_surface(case), preset_box(case)
+    h = surf.components[surf.preferred_axis]
+    counts = {"roots": 0, "rows": 0}
+    in_newton = []
+    newton, walk = sampler._newton, h._masked_cols
+
+    def spy_newton(func, target, *args):
+        counts["roots"] += target.size
+        in_newton.append(True)
+        try:
+            return newton(func, target, *args)
+        finally:
+            in_newton.pop()
+
+    def spy_walk(xs, orders):
+        if in_newton:
+            counts["rows"] += np.size(xs)
+        return walk(xs, orders)
+
+    monkeypatch.setattr(sampler, "_newton", spy_newton)
+    monkeypatch.setattr(h, "_masked_cols", spy_walk)
+    collect_samples(surf, box, 10000, seed=5)
+    assert counts["roots"] > 10000
+    assert counts["rows"] <= 2.25 * counts["roots"]
 
 
 # -- sampling ----------------------------------------------------------------------
